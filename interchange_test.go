@@ -1,10 +1,12 @@
 package ccts_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	ccts "github.com/go-ccts/ccts"
+	"github.com/go-ccts/ccts/internal/fixture"
 )
 
 // defectiveXMI is a small document with five seeded defects:
@@ -121,5 +123,31 @@ func TestImportXMIDiagnosticsStillAbortsOnBrokenXML(t *testing.T) {
 	_, _, err := ccts.ImportXMIDiagnostics(strings.NewReader("<xmi:XMI"))
 	if err == nil {
 		t.Fatal("broken XML must abort the lenient import too")
+	}
+}
+
+// TestXMIRoundTripKeepsBackslashesAndControls exports and re-imports a
+// model whose ABIE definition holds a backslash and a no-break space:
+// three round trips must return the definition unchanged, because XML
+// attribute values are escaped for XML, not Go-quoted.
+func TestXMIRoundTripKeepsBackslashesAndControls(t *testing.T) {
+	f, err := fixture.BuildHoardingPermit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const def = "C:\\dir\u00a0x\ttab\nline"
+	f.Permit.Definition = def
+	m := f.Model
+	for trip := 1; trip <= 3; trip++ {
+		var buf bytes.Buffer
+		if err := ccts.ExportXMI(m, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if m, err = ccts.ImportXMI(&buf); err != nil {
+			t.Fatalf("round trip %d: %v", trip, err)
+		}
+		if got := m.FindABIE(f.Permit.Name).Definition; got != def {
+			t.Fatalf("round trip %d: definition = %q, want %q", trip, got, def)
+		}
 	}
 }

@@ -14,11 +14,10 @@ import (
 //     "Person. Date Of Birth. Date", used by the registry for search and
 //     harmonisation.
 
-// splitWords splits a CamelCase model name into space-separated words:
+// writeWords writes a CamelCase model name as space-separated words:
 // "DateofBirth" -> "Dateof Birth", "CodeListAgName" -> "Code List Ag
 // Name". Underscores also separate words.
-func splitWords(name string) string {
-	var b strings.Builder
+func writeWords(b *strings.Builder, name string) {
 	prevLower := false
 	for _, r := range name {
 		switch {
@@ -32,46 +31,57 @@ func splitWords(name string) string {
 		b.WriteRune(r)
 		prevLower = unicode.IsLower(r) || unicode.IsDigit(r)
 	}
+}
+
+// den builds a dictionary entry name in one builder sized up front: the
+// words of each term joined by ". ", then suffix. The size allows one
+// inserted space per four bytes of a term, enough for CamelCase words.
+func den(suffix string, terms ...string) string {
+	n := len(suffix)
+	for _, t := range terms {
+		n += len(t) + len(t)/4 + len(". ")
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i, t := range terms {
+		if i > 0 {
+			b.WriteString(". ")
+		}
+		writeWords(&b, t)
+	}
+	b.WriteString(suffix)
 	return b.String()
 }
 
 // DEN returns the CCTS dictionary entry name of the ACC:
 // "ObjectClassTerm. Details".
-func (a *ACC) DEN() string { return splitWords(a.Name) + ". Details" }
+func (a *ACC) DEN() string { return den(". Details", a.Name) }
 
 // DEN returns the CCTS dictionary entry name of the BCC:
 // "ObjectClass. Property Term. Representation Term".
-func (b *BCC) DEN() string {
-	return splitWords(b.owner.Name) + ". " + splitWords(b.Name) + ". " + splitWords(b.Type.Name)
-}
+func (b *BCC) DEN() string { return den("", b.owner.Name, b.Name, b.Type.Name) }
 
 // DEN returns the CCTS dictionary entry name of the ASCC:
 // "ObjectClass. Role. Target Object Class".
-func (s *ASCC) DEN() string {
-	return splitWords(s.owner.Name) + ". " + splitWords(s.Role) + ". " + splitWords(s.Target.Name)
-}
+func (s *ASCC) DEN() string { return den("", s.owner.Name, s.Role, s.Target.Name) }
 
 // DEN returns the CCTS dictionary entry name of the ABIE:
 // "Qualified Object Class. Details".
-func (a *ABIE) DEN() string { return splitWords(a.Name) + ". Details" }
+func (a *ABIE) DEN() string { return den(". Details", a.Name) }
 
 // DEN returns the CCTS dictionary entry name of the BBIE.
-func (b *BBIE) DEN() string {
-	return splitWords(b.owner.Name) + ". " + splitWords(b.Name) + ". " + splitWords(b.Type.TypeName())
-}
+func (b *BBIE) DEN() string { return den("", b.owner.Name, b.Name, b.Type.TypeName()) }
 
 // DEN returns the CCTS dictionary entry name of the ASBIE.
-func (s *ASBIE) DEN() string {
-	return splitWords(s.owner.Name) + ". " + splitWords(s.Role) + ". " + splitWords(s.Target.Name)
-}
+func (s *ASBIE) DEN() string { return den("", s.owner.Name, s.Role, s.Target.Name) }
 
 // DEN returns the CCTS dictionary entry name of the CDT:
 // "Name. Type".
-func (d *CDT) DEN() string { return splitWords(d.Name) + ". Type" }
+func (d *CDT) DEN() string { return den(". Type", d.Name) }
 
 // DEN returns the CCTS dictionary entry name of the QDT:
 // "Qualified Name. Type".
-func (d *QDT) DEN() string { return splitWords(d.Name) + ". Type" }
+func (d *QDT) DEN() string { return den(". Type", d.Name) }
 
 // EntitySet returns the flattened set of core components the ACC results
 // in, in the notation of the paper's Section 2.1: "Person (ACC),

@@ -306,3 +306,22 @@ func TestOwnershipAccessors(t *testing.T) {
 		t.Error("PRIM.Library broken")
 	}
 }
+
+// TestDENWords pins the word splitting of dictionary entry names.
+func TestDENWords(t *testing.T) {
+	cases := []struct {
+		suffix, want string
+		terms        []string
+	}{
+		{". Details", "US Person. Details", []string{"US_Person"}},
+		{". Type", "ISO3166 Code. Type", []string{"ISO3166Code"}},
+		{"", "Äpfel Baum. Dateof Birth. Date", []string{"ÄpfelBaum", "DateofBirth", "Date"}},
+		{"", "Code List Ag Name. URI. A B", []string{"CodeListAgName", "URI", "A_B"}},
+		{". Details", ". Details", []string{""}},
+	}
+	for _, c := range cases {
+		if got := den(c.suffix, c.terms...); got != c.want {
+			t.Errorf("den(%q, %q) = %q, want %q", c.suffix, c.terms, got, c.want)
+		}
+	}
+}

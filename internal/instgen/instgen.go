@@ -8,11 +8,13 @@
 package instgen
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
 
 	"github.com/go-ccts/ccts/internal/core"
+	"github.com/go-ccts/ccts/internal/xmlesc"
 	"github.com/go-ccts/ccts/internal/xsd"
 	"github.com/go-ccts/ccts/internal/xsdval"
 )
@@ -56,7 +58,7 @@ func Generate(set *xsdval.SchemaSet, rootNamespace, rootName string, opts Option
 	if err != nil {
 		return "", err
 	}
-	var b strings.Builder
+	var b bytes.Buffer
 	b.WriteString(`<?xml version="1.0" encoding="UTF-8"?>` + "\n")
 	g.render(&b, body, 0, true)
 	return b.String(), nil
@@ -325,7 +327,7 @@ func patternDigits(pattern string) int {
 
 // render serialises the node tree with namespace declarations on the
 // root element.
-func (g *generator) render(b *strings.Builder, n *node, depth int, root bool) {
+func (g *generator) render(b *bytes.Buffer, n *node, depth int, root bool) {
 	indent := strings.Repeat("  ", depth)
 	prefix := g.prefixFor(n.ns)
 	b.WriteString(indent + "<" + prefix + ":" + n.name)
@@ -338,17 +340,23 @@ func (g *generator) render(b *strings.Builder, n *node, depth int, root bool) {
 		}
 		sort.Strings(nss)
 		for _, ns := range nss {
-			fmt.Fprintf(b, "\n%s    xmlns:%s=%q", indent, g.prefixes[ns], ns)
+			b.WriteString("\n" + indent + "    xmlns:" + g.prefixes[ns] + `="`)
+			xmlesc.Attr(b, ns)
+			b.WriteByte('"')
 		}
 	}
 	for _, a := range n.attrs {
-		fmt.Fprintf(b, " %s=%q", a.name, escape(a.value))
+		b.WriteString(" " + a.name + `="`)
+		xmlesc.Attr(b, a.value)
+		b.WriteByte('"')
 	}
 	switch {
 	case len(n.kids) == 0 && n.text == "":
 		b.WriteString("/>\n")
 	case len(n.kids) == 0:
-		b.WriteString(">" + escape(n.text) + "</" + prefix + ":" + n.name + ">\n")
+		b.WriteByte('>')
+		xmlesc.Text(b, n.text)
+		b.WriteString("</" + prefix + ":" + n.name + ">\n")
 	default:
 		b.WriteString(">\n")
 		for _, k := range n.kids {
@@ -363,23 +371,4 @@ func (g *generator) collectNamespaces(n *node) {
 	for _, k := range n.kids {
 		g.collectNamespaces(k)
 	}
-}
-
-func escape(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		switch r {
-		case '&':
-			b.WriteString("&amp;")
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		case '"':
-			b.WriteString("&quot;")
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
 }

@@ -1,6 +1,8 @@
 package instgen
 
 import (
+	"bytes"
+	"encoding/xml"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -267,9 +269,24 @@ func TestHandWrittenSchemaShapes(t *testing.T) {
 	}
 }
 
+// TestEscape renders a value that needs escaping as an attribute, as
+// text and as a namespace URI, and reads it back with encoding/xml.
 func TestEscape(t *testing.T) {
-	if got := escape(`a&b<c>"d`); got != "a&amp;b&lt;c&gt;&quot;d" {
-		t.Errorf("escape = %q", got)
+	v := "a&b<c>\"d\\e\tf\ng\u00a0h"
+	ns := `urn:x?a=1&b=\`
+	g := &generator{prefixes: map[string]string{}}
+	var b bytes.Buffer
+	g.render(&b, &node{name: "E", ns: ns, attrs: []attrValue{{name: "v", value: v}}, text: v}, 0, true)
+	var got struct {
+		XMLName xml.Name
+		V       string `xml:"v,attr"`
+		Text    string `xml:",chardata"`
+	}
+	if err := xml.Unmarshal(b.Bytes(), &got); err != nil {
+		t.Fatalf("%v in %s", err, b.String())
+	}
+	if got.V != v || got.Text != v || got.XMLName.Space != ns {
+		t.Errorf("read back attribute %q, text %q, namespace %q; want %q and %q", got.V, got.Text, got.XMLName.Space, v, ns)
 	}
 }
 

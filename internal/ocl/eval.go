@@ -133,20 +133,41 @@ func Equal(a, b Value) bool {
 	return false
 }
 
-// env is the evaluation environment: the context object, iterator
-// variables and the implicit-object stack for anonymous iterator bodies.
+// env is one level of the evaluation environment: the context object
+// plus at most one binding, either a named variable (an iterator or let
+// variable) or the object of an anonymous iterator body. Lookups walk
+// outward through parent, so entering a scope copies nothing, and an
+// iterator rebinds its one scope for each element.
 type env struct {
-	self     Value
-	vars     map[string]Value
-	implicit []Value
+	self   Value
+	parent *env
+	bound  bool   // false for the root scope, which binds nothing
+	name   string // the variable's name; "" binds an implicit object
+	value  Value
 }
 
-func (e *env) child() *env {
-	vars := make(map[string]Value, len(e.vars)+1)
-	for k, v := range e.vars {
-		vars[k] = v
+// bind returns a child scope binding name ("" for an implicit object).
+func (e *env) bind(name string, v Value) *env {
+	return &env{self: e.self, parent: e, bound: true, name: name, value: v}
+}
+
+// lookup resolves an identifier: the innermost variable of that name,
+// else a property of the innermost implicit object that has it, else a
+// property of self.
+func (e *env) lookup(name string) (Value, error) {
+	for s := e; s != nil; s = s.parent {
+		if s.bound && s.name == name {
+			return s.value, nil
+		}
 	}
-	return &env{self: e.self, vars: vars, implicit: e.implicit}
+	for s := e; s != nil; s = s.parent {
+		if s.bound && s.name == "" {
+			if v, err := navigate(s.value, name, true); err == nil {
+				return v, nil
+			}
+		}
+	}
+	return navigate(e.self, name, false)
 }
 
 // Eval evaluates the expression with self as context object.
@@ -156,7 +177,7 @@ func (e *Expression) Eval(self Object) (Value, error) {
 
 // EvalValue evaluates the expression with an arbitrary value as context.
 func (e *Expression) EvalValue(self Value) (Value, error) {
-	return eval(e.root, &env{self: self, vars: map[string]Value{}})
+	return eval(e.root, &env{self: self})
 }
 
 // EvalBool evaluates a boolean constraint; a non-boolean result is an
@@ -180,16 +201,7 @@ func eval(e expr, en *env) (Value, error) {
 	case *selfExpr:
 		return en.self, nil
 	case *identExpr:
-		if v, ok := en.vars[n.name]; ok {
-			return v, nil
-		}
-		// Implicit iterator object, then implicit self.
-		for i := len(en.implicit) - 1; i >= 0; i-- {
-			if v, err := navigate(en.implicit[i], n.name, true); err == nil {
-				return v, nil
-			}
-		}
-		return navigate(en.self, n.name, false)
+		return en.lookup(n.name)
 	case *propertyExpr:
 		target, err := eval(n.target, en)
 		if err != nil {
@@ -211,9 +223,7 @@ func eval(e expr, en *env) (Value, error) {
 		if err != nil {
 			return Null(), err
 		}
-		child := en.child()
-		child.vars[n.varName] = value
-		return eval(n.body, child)
+		return eval(n.body, en.bind(n.varName, value))
 	case *collectionExpr:
 		var out []Value
 		for _, el := range n.elements {
@@ -511,13 +521,11 @@ func evalIterate(n *iterateExpr, en *env) (Value, error) {
 	}
 	coll := asCollection(target)
 
+	// One scope serves every element: the body's value never refers to
+	// the scope, so rebinding it for the next element is safe.
+	child := en.bind(n.varName, Null())
 	evalBody := func(elem Value) (Value, error) {
-		child := en.child()
-		if n.varName != "" {
-			child.vars[n.varName] = elem
-		} else {
-			child.implicit = append(append([]Value{}, en.implicit...), elem)
-		}
+		child.value = elem
 		return eval(n.body, child)
 	}
 	boolBody := func(elem Value) (bool, error) {

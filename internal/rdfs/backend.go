@@ -36,12 +36,12 @@ func (Backend) Assemble(p *gen.Plan, _ [][]gen.Fragment) (*gen.Output, error) {
 	if m == nil {
 		return nil, fmt.Errorf("rdfs: library %q is not part of a model", lib.Name)
 	}
-	doc, err := Generate(m)
+	doc, err := render(m)
 	if err != nil {
 		return nil, err
 	}
 	name := strings.TrimSuffix(units[0].File(), ".xsd") + ".rdf"
-	out := &gen.Output{Files: []gen.OutFile{{Name: name, Data: []byte(doc)}}}
+	out := &gen.Output{Files: []gen.OutFile{{Name: name, Data: doc}}}
 	if root := p.Root(); root != nil {
 		out.RootElement = p.Index().ABIEElementName(root)
 	}

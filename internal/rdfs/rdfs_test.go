@@ -115,3 +115,48 @@ func TestEscaping(t *testing.T) {
 		t.Errorf("escaping broken:\n%s", out)
 	}
 }
+
+// TestValuesReadBack generates a vocabulary whose resource URIs, labels
+// and comments hold characters Go quoting would mangle, and reads them
+// back with encoding/xml.
+func TestValuesReadBack(t *testing.T) {
+	f, err := fixture.BuildHoardingPermit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const def, label, urn = "C:\\dir\u00a0x\ttab\nline", "a\\b\u00a0&<\">", "urn:a\\b\u00a0c"
+	f.Permit.Definition = def
+	f.Model.FindENUM("CountryType_Code").Literals[0].Value = label
+	f.DOCLib.BaseURN = urn
+	doc, err := Generate(f.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs, text := map[string]bool{}, map[string]bool{}
+	d := xml.NewDecoder(strings.NewReader(doc))
+	for {
+		tok, err := d.Token()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("%v in:\n%s", err, doc)
+		}
+		switch tok := tok.(type) {
+		case xml.StartElement:
+			for _, a := range tok.Attr {
+				attrs[a.Value] = true
+			}
+		case xml.CharData:
+			text[string(tok)] = true
+		}
+	}
+	if want := urn + "#HoardingPermit"; !attrs[want] {
+		t.Errorf("resource %q not read back", want)
+	}
+	for _, want := range []string{def, label} {
+		if !text[want] {
+			t.Errorf("text %q not read back", want)
+		}
+	}
+}

@@ -12,12 +12,14 @@
 package rng
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
 	"github.com/go-ccts/ccts/internal/core"
 	"github.com/go-ccts/ccts/internal/ndr"
 	"github.com/go-ccts/ccts/internal/uml"
+	"github.com/go-ccts/ccts/internal/xmlesc"
 )
 
 // Namespace is the RELAX NG structure namespace.
@@ -29,7 +31,7 @@ const DatatypeLibrary = "http://www.w3.org/2001/XMLSchema-datatypes"
 
 // Pattern is a RELAX NG pattern node.
 type Pattern interface {
-	write(b *strings.Builder, depth int)
+	write(b *bytes.Buffer, depth int)
 }
 
 type (
@@ -71,50 +73,62 @@ type (
 	emptyPat struct{}
 )
 
-func indent(b *strings.Builder, depth int) {
+func indent(b *bytes.Buffer, depth int) {
 	for i := 0; i < depth; i++ {
 		b.WriteString("  ")
 	}
 }
 
-func writeAll(b *strings.Builder, ps []Pattern, depth int) {
+func writeAll(b *bytes.Buffer, ps []Pattern, depth int) {
 	for _, p := range ps {
 		p.write(b, depth)
 	}
 }
 
-func (p *elementPat) write(b *strings.Builder, depth int) {
+func (p *elementPat) write(b *bytes.Buffer, depth int) {
 	indent(b, depth)
-	fmt.Fprintf(b, "<element name=%q ns=%q>\n", escape(p.name), escape(p.ns))
+	b.WriteString(`<element name="`)
+	xmlesc.Attr(b, p.name)
+	b.WriteString(`" ns="`)
+	xmlesc.Attr(b, p.ns)
+	b.WriteString("\">\n")
 	writeAll(b, p.children, depth+1)
 	indent(b, depth)
 	b.WriteString("</element>\n")
 }
 
-func (p *attributePat) write(b *strings.Builder, depth int) {
+func (p *attributePat) write(b *bytes.Buffer, depth int) {
 	indent(b, depth)
-	fmt.Fprintf(b, "<attribute name=%q>\n", escape(p.name))
+	b.WriteString(`<attribute name="`)
+	xmlesc.Attr(b, p.name)
+	b.WriteString("\">\n")
 	p.child.write(b, depth+1)
 	indent(b, depth)
 	b.WriteString("</attribute>\n")
 }
 
-func (p *refPat) write(b *strings.Builder, depth int) {
+func (p *refPat) write(b *bytes.Buffer, depth int) {
 	indent(b, depth)
-	fmt.Fprintf(b, "<ref name=%q/>\n", escape(p.name))
+	b.WriteString(`<ref name="`)
+	xmlesc.Attr(b, p.name)
+	b.WriteString("\"/>\n")
 }
 
-func (p *dataPat) write(b *strings.Builder, depth int) {
+func (p *dataPat) write(b *bytes.Buffer, depth int) {
 	indent(b, depth)
-	fmt.Fprintf(b, "<data type=%q/>\n", escape(p.typeName))
+	b.WriteString(`<data type="`)
+	xmlesc.Attr(b, p.typeName)
+	b.WriteString("\"/>\n")
 }
 
-func (p *valuePat) write(b *strings.Builder, depth int) {
+func (p *valuePat) write(b *bytes.Buffer, depth int) {
 	indent(b, depth)
-	fmt.Fprintf(b, "<value>%s</value>\n", escape(p.value))
+	b.WriteString("<value>")
+	xmlesc.Text(b, p.value)
+	b.WriteString("</value>\n")
 }
 
-func (p *choicePat) write(b *strings.Builder, depth int) {
+func (p *choicePat) write(b *bytes.Buffer, depth int) {
 	indent(b, depth)
 	b.WriteString("<choice>\n")
 	writeAll(b, p.children, depth+1)
@@ -122,20 +136,20 @@ func (p *choicePat) write(b *strings.Builder, depth int) {
 	b.WriteString("</choice>\n")
 }
 
-func (p *wrapPat) write(b *strings.Builder, depth int) {
+func (p *wrapPat) write(b *bytes.Buffer, depth int) {
 	indent(b, depth)
-	fmt.Fprintf(b, "<%s>\n", p.kind)
+	b.WriteString("<" + p.kind + ">\n")
 	writeAll(b, p.children, depth+1)
 	indent(b, depth)
-	fmt.Fprintf(b, "</%s>\n", p.kind)
+	b.WriteString("</" + p.kind + ">\n")
 }
 
-func (p *textPat) write(b *strings.Builder, depth int) {
+func (p *textPat) write(b *bytes.Buffer, depth int) {
 	indent(b, depth)
 	b.WriteString("<text/>\n")
 }
 
-func (p *emptyPat) write(b *strings.Builder, depth int) {
+func (p *emptyPat) write(b *bytes.Buffer, depth int) {
 	indent(b, depth)
 	b.WriteString("<empty/>\n")
 }
@@ -155,10 +169,13 @@ type Grammar struct {
 
 // String serialises the grammar in RELAX NG XML syntax; output is
 // deterministic in generation order.
-func (g *Grammar) String() string {
-	b := &strings.Builder{}
+func (g *Grammar) String() string { return string(g.bytes()) }
+
+// bytes serialises the grammar into a fresh buffer.
+func (g *Grammar) bytes() []byte {
+	b := &bytes.Buffer{}
 	b.WriteString(`<?xml version="1.0" encoding="UTF-8"?>` + "\n")
-	fmt.Fprintf(b, "<grammar xmlns=%q datatypeLibrary=%q>\n", Namespace, DatatypeLibrary)
+	b.WriteString(`<grammar xmlns="` + Namespace + `" datatypeLibrary="` + DatatypeLibrary + "\">\n")
 	if g.start != "" {
 		b.WriteString("  <start>\n")
 		(&refPat{name: g.start}).write(b, 2)
@@ -166,13 +183,15 @@ func (g *Grammar) String() string {
 	}
 	for _, d := range g.defines {
 		indent(b, 1)
-		fmt.Fprintf(b, "<define name=%q>\n", escape(d.name))
+		b.WriteString(`<define name="`)
+		xmlesc.Attr(b, d.name)
+		b.WriteString("\">\n")
 		writeAll(b, d.patterns, 2)
 		indent(b, 1)
 		b.WriteString("</define>\n")
 	}
 	b.WriteString("</grammar>\n")
-	return b.String()
+	return b.Bytes()
 }
 
 // DefineNames lists the grammar's production names in order.
@@ -440,23 +459,4 @@ func occurs(card core.Cardinality, p Pattern) Pattern {
 // which resolves names against the declared datatypeLibrary.
 func xsdLocal(qname string) string {
 	return strings.TrimPrefix(qname, "xsd:")
-}
-
-func escape(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		switch r {
-		case '&':
-			b.WriteString("&amp;")
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		case '"':
-			b.WriteString("&quot;")
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
 }

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"encoding/xml"
+	"io"
 	"strings"
 	"testing"
 
@@ -206,5 +207,56 @@ func TestEmptyABIE(t *testing.T) {
 	}
 	if !strings.Contains(g.String(), "<empty/>") {
 		t.Error("empty ABIE should produce an empty pattern")
+	}
+}
+
+// TestValuesReadBack generates a grammar whose enumeration values and
+// element namespace hold characters Go quoting would mangle, and reads
+// them back with encoding/xml.
+func TestValuesReadBack(t *testing.T) {
+	f, err := fixture.BuildHoardingPermit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const value, ns = "C:\\dir\u00a0x\ty&<\">", "urn:a\\b\u00a0c"
+	f.Model.FindENUM("CountryType_Code").Literals[0].Name = value
+	f.DOCLib.BaseURN = ns
+	g, err := GenerateDocument(f.DOCLib, "HoardingPermit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs, text := readBack(t, g.String())
+	if !attrs[ns] {
+		t.Errorf("namespace %q not read back", ns)
+	}
+	if !text[value] {
+		t.Errorf("enumeration value %q not read back", value)
+	}
+}
+
+// readBack parses doc with encoding/xml and returns the set of its
+// attribute values and of its non-blank character data.
+func readBack(t *testing.T, doc string) (attrs, text map[string]bool) {
+	t.Helper()
+	attrs, text = map[string]bool{}, map[string]bool{}
+	d := xml.NewDecoder(strings.NewReader(doc))
+	for {
+		tok, err := d.Token()
+		if err == io.EOF {
+			return attrs, text
+		}
+		if err != nil {
+			t.Fatalf("%v in:\n%s", err, doc)
+		}
+		switch tok := tok.(type) {
+		case xml.StartElement:
+			for _, a := range tok.Attr {
+				attrs[a.Value] = true
+			}
+		case xml.CharData:
+			if s := string(tok); strings.TrimSpace(s) != "" {
+				text[s] = true
+			}
+		}
 	}
 }

@@ -13,6 +13,7 @@ package uml
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -82,19 +83,9 @@ func ParseMultiplicity(s string) (Multiplicity, error) {
 	if s == "*" {
 		return Many, nil
 	}
-	parse := func(tok string) (int, error) {
-		if tok == "*" {
-			return Unbounded, nil
-		}
-		var n int
-		if _, err := fmt.Sscanf(tok, "%d", &n); err != nil || n < 0 {
-			return 0, fmt.Errorf("uml: invalid multiplicity bound %q", tok)
-		}
-		return n, nil
-	}
 	lo, hi, found := strings.Cut(s, "..")
 	if !found {
-		n, err := parse(s)
+		n, err := parseBound(s)
 		if err != nil {
 			return Multiplicity{}, err
 		}
@@ -103,11 +94,11 @@ func ParseMultiplicity(s string) (Multiplicity, error) {
 		}
 		return Multiplicity{n, n}, nil
 	}
-	lower, err := parse(lo)
+	lower, err := parseBound(lo)
 	if err != nil || lower == Unbounded {
 		return Multiplicity{}, fmt.Errorf("uml: invalid multiplicity %q", s)
 	}
-	upper, err := parse(hi)
+	upper, err := parseBound(hi)
 	if err != nil {
 		return Multiplicity{}, err
 	}
@@ -116,6 +107,21 @@ func ParseMultiplicity(s string) (Multiplicity, error) {
 		return Multiplicity{}, fmt.Errorf("uml: invalid multiplicity %q", s)
 	}
 	return m, nil
+}
+
+// parseBound parses one multiplicity bound: "*" or ASCII digits that
+// fit an int, optionally surrounded by spaces. Signs, underscores, other
+// bases and trailing characters are errors.
+func parseBound(tok string) (int, error) {
+	tok = strings.TrimSpace(tok)
+	if tok == "*" {
+		return Unbounded, nil
+	}
+	n, err := strconv.ParseUint(tok, 10, strconv.IntSize-1)
+	if err != nil {
+		return 0, fmt.Errorf("uml: invalid multiplicity bound %q", tok)
+	}
+	return int(n), nil
 }
 
 // TaggedValues holds the UML tagged values attached to an element. Keys

@@ -37,6 +37,11 @@ func TestParseMultiplicity(t *testing.T) {
 		{"2..5", Multiplicity{2, 5}},
 		{"", One},
 		{" 0..1 ", Optional},
+		// Spaces around each bound are allowed.
+		{"0 .. 1", Optional},
+		{" 2 ..5", Multiplicity{2, 5}},
+		{"0..\t*", Many},
+		{"007", Multiplicity{7, 7}},
 	}
 	for _, c := range cases {
 		got, err := ParseMultiplicity(c.in)
@@ -51,7 +56,11 @@ func TestParseMultiplicity(t *testing.T) {
 }
 
 func TestParseMultiplicityErrors(t *testing.T) {
-	for _, in := range []string{"x", "-1", "5..2", "*..1", "1..x", "1..-3"} {
+	for _, in := range []string{"x", "-1", "5..2", "*..1", "1..x", "1..-3",
+		// Trailing garbage, other bases, separators and signs.
+		"1.5", "0x10", "1x", "1_0", "+1", "1..2x", "0..1.5", "0..0x10", "1 2", "..1", "1..",
+		// A bound that overflows int.
+		"99999999999999999999", "0..99999999999999999999"} {
 		if _, err := ParseMultiplicity(in); err == nil {
 			t.Errorf("ParseMultiplicity(%q): expected error", in)
 		}

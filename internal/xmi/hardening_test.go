@@ -10,6 +10,7 @@ import (
 	"github.com/go-ccts/ccts/internal/fixture"
 	"github.com/go-ccts/ccts/internal/limits"
 	"github.com/go-ccts/ccts/internal/profile"
+	"github.com/go-ccts/ccts/internal/uml"
 )
 
 func exportFixture(t *testing.T) string {
@@ -112,5 +113,33 @@ func TestImportLimitsRoundTripUnaffected(t *testing.T) {
 	doc := exportFixture(t)
 	if _, err := ImportString(doc); err != nil {
 		t.Fatalf("default limits reject exporter output: %v", err)
+	}
+}
+
+// TestLenientImportRejectsMalformedBounds: a multiplicity bound with
+// trailing characters, another base or an overflow is diagnosed as
+// XMI-MULT instead of being read as a prefix of its digits, and the
+// element falls back to 1..1.
+func TestLenientImportRejectsMalformedBounds(t *testing.T) {
+	for _, bounds := range [][2]string{{"1.5", "1"}, {"0x10", "1"}, {"1x", "1"}, {"1_0", "1"}, {"0", "2x"}, {"0", "99999999999999999999"}} {
+		doc := `<xmi:XMI xmlns:xmi="http://schema.omg.org/spec/XMI/2.1" xmlns:uml="http://schema.omg.org/spec/UML/2.1">
+  <uml:Model xmi:id="model" name="M">
+    <packagedElement xmi:type="uml:Package" xmi:id="p1" name="Lib" stereotype="CCLibrary">
+      <packagedElement xmi:type="uml:Class" xmi:id="c1" name="Part" stereotype="ACC">
+        <ownedAttribute xmi:id="a1" name="Name" stereotype="BCC" type="String" lower="` + bounds[0] + `" upper="` + bounds[1] + `"/>
+      </packagedElement>
+    </packagedElement>
+  </uml:Model>
+</xmi:XMI>`
+		m, diags, err := ImportWithOptions(strings.NewReader(doc), ImportOptions{Lenient: true})
+		if err != nil {
+			t.Fatalf("%v: lenient import aborted: %v", bounds, err)
+		}
+		if len(diags) != 1 || diags[0].Rule != "XMI-MULT" {
+			t.Errorf("%v: diagnostics = %v, want one XMI-MULT", bounds, diags)
+		}
+		if a := m.FindClass("Part").Attributes[0]; a.Mult != uml.One {
+			t.Errorf("%v: multiplicity = %v, want the 1..1 fallback", bounds, a.Mult)
+		}
 	}
 }
