@@ -11,7 +11,7 @@ FUZZTIME ?= 10s
 MAXREGRESS ?= 25
 BENCHCOUNT ?= 3
 
-.PHONY: build test bench bench-serve bench-repo bench-repl bench-diff verify fuzz-smoke chaos-smoke repl-smoke jobs-smoke shard-smoke heal-smoke
+.PHONY: build test bench bench-pipeline bench-serve bench-repo bench-repl bench-diff fmt-check verify fuzz-smoke chaos-smoke repl-smoke jobs-smoke shard-smoke heal-smoke
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,18 @@ test:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# PIPELINE_BENCH selects the root pipeline benchmarks of the layer
+# ledger: XMI import+export, OCL evaluation, model validation, the RDF
+# Schema and RELAX NG emitters, and XSD generation at 100 ABIEs.
+PIPELINE_BENCH = ^Benchmark(XMIRoundTrip|OCLEval|ValidateScaling100|RDFSGenerate|RelaxNGGenerate|GenerateScaling100)$$
+
+# bench-pipeline records the pipeline stages (import, OCL, validation,
+# emit per backend) in BENCH_pipeline.json, the layer ledger that
+# EXPERIMENTS.md quotes.
+bench-pipeline:
+	$(GO) test . -run='^$$' -bench='$(PIPELINE_BENCH)' -benchmem -count=$(BENCHCOUNT) \
+		| tee /dev/stderr | $(GO) run ./internal/tools/benchjson -o BENCH_pipeline.json
 
 # bench-serve measures the HTTP service: memoized vs cold /v1/generate,
 # /v1/validate, and wire-level end-to-end requests. The text output is
@@ -48,14 +60,16 @@ bench-repl:
 	$(GO) test ./internal/repl -run='^$$' -bench='BenchmarkRepl' -benchmem -count=$(BENCHCOUNT) \
 		| tee /dev/stderr | $(GO) run ./internal/tools/benchjson -o BENCH_repl.json
 
-# bench-diff reruns the serving and repository benchmark suites and
-# diffs them against the committed BENCH_*.json baselines, failing on a
-# >$(MAXREGRESS)% ns/op regression. The ns/op gate is enforced in
+# bench-diff reruns the pipeline, serving and repository benchmark
+# suites and diffs them against the committed BENCH_*.json baselines,
+# failing on a >$(MAXREGRESS)% ns/op regression. The ns/op gate is enforced in
 # verify (the baselines are committed and stable); allocation gates
 # stay advisory (-alloc-advisory) — alloc drift is reported, not
 # failing. Refresh the baselines (make bench-serve bench-repo
-# bench-repl) on intended changes.
+# bench-repl bench-pipeline) on intended changes.
 bench-diff:
+	$(GO) test . -run='^$$' -bench='$(PIPELINE_BENCH)' -benchmem -count=$(BENCHCOUNT) \
+		| $(GO) run ./internal/tools/benchjson -baseline BENCH_pipeline.json -max-regress $(MAXREGRESS) -alloc-advisory
 	$(GO) test ./internal/server -run='^$$' -bench='BenchmarkServe' -benchmem -count=$(BENCHCOUNT) \
 		| $(GO) run ./internal/tools/benchjson -baseline BENCH_serve.json -max-regress $(MAXREGRESS) -alloc-advisory
 	$(GO) test ./internal/repo -run='^$$' -bench='BenchmarkRepo' -benchmem -count=$(BENCHCOUNT) \
@@ -127,8 +141,12 @@ shard-smoke:
 heal-smoke:
 	$(GO) test ./internal/server -race -count=1 -run 'TestHeal' -timeout 180s
 
-# verify is the full pre-merge gate: static checks, the entire test
-# suite under the race detector (the parallel emit phase must be
+# fmt-check fails when any Go file is not gofmt-formatted, listing it.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
+
+# verify is the full pre-merge gate: static checks (gofmt and vet), the
+# entire test suite under the race detector (the parallel emit phase must be
 # data-race-free at any Parallelism setting), a dedicated -race pass
 # over the serving, resilience, repository and generation-backend stack
 # (singleflight, admission gating, shedding, rate limiting, drain,
@@ -139,7 +157,7 @@ heal-smoke:
 # against the
 # committed baselines (allocation drift stays advisory; see bench-diff
 # for the regression allowance).
-verify:
+verify: fmt-check
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/server ./internal/schemacache ./internal/registry ./internal/repo ./internal/repl ./internal/shard ./internal/health ./internal/retry ./internal/client ./internal/faultio ./cmd/ccrepo ./internal/gen ./internal/jsonschema ./internal/protogen ./internal/backends ./internal/jobs ./cmd/ccjobs

@@ -165,10 +165,10 @@ func TestParseFlagsShardSupervise(t *testing.T) {
 	}
 
 	for _, args := range [][]string{
-		{"-shard-supervise"},                                                         // supervise without any map
-		{"-repo", dir, "-replica-of", "http://p", "-shard-supervise"},                // replica without shard map
-		{"-repo", dir, "-shard-replica-of-map", mapPath, "-shard-self", "c"},         // standby map without -replica-of
-		{"-repo", dir, "-replica-of", "http://p", "-shard-replica-of-map", mapPath},  // no self
+		{"-shard-supervise"}, // supervise without any map
+		{"-repo", dir, "-replica-of", "http://p", "-shard-supervise"},                                                          // replica without shard map
+		{"-repo", dir, "-shard-replica-of-map", mapPath, "-shard-self", "c"},                                                   // standby map without -replica-of
+		{"-repo", dir, "-replica-of", "http://p", "-shard-replica-of-map", mapPath},                                            // no self
 		{"-repo", dir, "-replica-of", "http://p", "-shard-replica-of-map", mapPath, "-shard-map", mapPath, "-shard-self", "c"}, // both maps
 	} {
 		if _, err := parseFlags(args); err == nil {

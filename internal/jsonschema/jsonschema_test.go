@@ -136,11 +136,11 @@ func collectRefs(t *testing.T, data []byte) []string {
 
 func TestScalarMapping(t *testing.T) {
 	cases := map[string]struct{ typ, format string }{
-		"xsd:string":       {"string", ""},
-		"xsd:decimal":      {"number", ""},
-		"xsd:date":         {"string", "date"},
-		"xsd:dateTime":     {"string", "date-time"},
-		"xsd:boolean":      {"boolean", ""},
+		"xsd:string":   {"string", ""},
+		"xsd:decimal":  {"number", ""},
+		"xsd:date":     {"string", "date"},
+		"xsd:dateTime": {"string", "date-time"},
+		"xsd:boolean":  {"boolean", ""},
 	}
 	for in, want := range cases {
 		n := scalarNode(in)

@@ -106,9 +106,9 @@ func TestFieldNumbersStable(t *testing.T) {
 
 func TestPackageName(t *testing.T) {
 	cases := map[string]string{
-		"urn:trade:eu:order": "urn.trade.eu.order",
+		"urn:trade:eu:order":         "urn.trade.eu.order",
 		"http://example.com/ns#frag": "http.example.com.ns.frag",
-		"urn:0abc:x": "urn.p0abc.x",
+		"urn:0abc:x":                 "urn.p0abc.x",
 	}
 	for in, want := range cases {
 		if got := PackageName(in); got != want {
@@ -119,10 +119,10 @@ func TestPackageName(t *testing.T) {
 
 func TestFieldName(t *testing.T) {
 	cases := map[string]string{
-		"IssueDate":          "issue_date",
-		"VATNumber":          "vat_number",
-		"BuyerEU_Party":      "buyer_eu_party",
-		"HazardCode":         "hazard_code",
+		"IssueDate":     "issue_date",
+		"VATNumber":     "vat_number",
+		"BuyerEU_Party": "buyer_eu_party",
+		"HazardCode":    "hazard_code",
 	}
 	for in, want := range cases {
 		if got := fieldName(in); got != want {
