@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -609,9 +610,13 @@ func TestJobsCancelOverHTTP(t *testing.T) {
 	defer mgr.Close(context.Background())
 	h := s.Handler()
 
+	// An item that reaches generation before the cancel waits at the
+	// gate; the gate opens once the cancel is accepted, so that item
+	// must observe the cancellation instead of hanging the job.
 	gate := make(chan struct{})
 	installHooks(t, nil, func() { <-gate })
-	defer close(gate)
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
 
 	manifest := `{
 		"defaults": {"library": "EB005-HoardingPermit", "root": "HoardingPermit"},
@@ -628,6 +633,7 @@ func TestJobsCancelOverHTTP(t *testing.T) {
 	if rec2.Code != http.StatusOK {
 		t.Fatalf("cancel = %d, body %s", rec2.Code, rec2.Body.String())
 	}
+	release()
 	final := waitJobState(t, h, doc.ID, jobs.Canceled)
 	if final.Failed != 2 {
 		t.Fatalf("canceled job counts: %+v", final)
