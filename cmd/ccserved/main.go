@@ -225,6 +225,13 @@ func parseFlags(args []string) (*config, error) {
 	return cfg, nil
 }
 
+// repoConfig is the configuration run opens -repo with: the
+// compatibility gate imports stored inputs under the same limits as the
+// request path, so an input the server accepted stays importable.
+func (c *config) repoConfig(tracker *health.Tracker) repo.Config {
+	return repo.Config{DefaultPolicy: c.repoPolicy, Limits: c.server.Limits, Health: tracker}
+}
+
 // loadRegistry reads a registry store saved by ccregistry.
 func loadRegistry(path string) (*registry.Guarded, error) {
 	f, err := os.Open(path)
@@ -252,7 +259,7 @@ func run(args []string) error {
 	// restores write mode once the disk recovers.
 	if cfg.repoDir != "" {
 		tracker := health.NewTracker(health.Options{})
-		rp, err := repo.Open(cfg.repoDir, repo.Config{DefaultPolicy: cfg.repoPolicy, Health: tracker})
+		rp, err := repo.Open(cfg.repoDir, cfg.repoConfig(tracker))
 		if err != nil {
 			return fmt.Errorf("opening schema repository: %w", err)
 		}

@@ -1,14 +1,22 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	ccts "github.com/go-ccts/ccts"
+	"github.com/go-ccts/ccts/internal/fixture"
 	"github.com/go-ccts/ccts/internal/repo"
+	"github.com/go-ccts/ccts/internal/server"
 )
 
 func TestHelpExitsZero(t *testing.T) {
@@ -45,8 +53,84 @@ func TestParseFlags(t *testing.T) {
 	if cfg.server.CacheBytes != 1024 {
 		t.Errorf("cache bytes = %d", cfg.server.CacheBytes)
 	}
-	if cfg.server.Limits.MaxDepth != 0 {
-		t.Errorf("limits profile not unlimited: %+v", cfg.server.Limits)
+	// The server the flags configure must parse without limits: a model
+	// past the default MaxAttributes validates.
+	if rec := serve(cfg.server, http.MethodPost, "/v1/validate", wideXMI(t, nil)); rec.Code != http.StatusOK {
+		t.Errorf("-limits unlimited: validate status %d, want 200: %s", rec.Code, rec.Body)
+	}
+	cfg, err = parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := serve(cfg.server, http.MethodPost, "/v1/validate", wideXMI(t, nil)); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "MaxAttributes") {
+		t.Errorf("-limits default: validate status %d, want 400 MaxAttributes: %s", rec.Code, rec.Body)
+	}
+}
+
+// wideXMI is the HoardingPermit fixture, edited by edit when non-nil, as
+// XMI whose uml:Model element carries 300 extra attributes: more than
+// limits.Default allows one element.
+func wideXMI(t *testing.T, edit func(*fixture.HoardingPermit)) []byte {
+	t.Helper()
+	f, err := fixture.BuildHoardingPermit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edit != nil {
+		edit(f)
+	}
+	var buf bytes.Buffer
+	if err := ccts.ExportXMI(f.Model, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var attrs strings.Builder
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&attrs, ` extra%d="%d"`, i, i)
+	}
+	doc := strings.Replace(buf.String(), "<uml:Model ", "<uml:Model"+attrs.String()+" ", 1)
+	if doc == buf.String() {
+		t.Fatal("exported XMI has no <uml:Model element")
+	}
+	return []byte(doc)
+}
+
+// serve answers one request from a server built from cfg.
+func serve(cfg server.Config, method, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	server.New(cfg).Handler().ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return rec
+}
+
+// TestUnlimitedReachesCompatGate publishes a model only unlimited
+// parsing accepts, reopens the repository so the compatibility gate must
+// re-import the stored version, and publishes a compatible revision: the
+// repository run opens must parse under the server's limits.
+func TestUnlimitedReachesCompatGate(t *testing.T) {
+	cfg, err := parseFlags([]string{"-limits", "unlimited", "-repo", t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const path = "/v1/repo/subjects/hoarding-permit/versions?library=EB005-HoardingPermit&root=HoardingPermit"
+	revisions := [][]byte{
+		wideXMI(t, nil),
+		wideXMI(t, func(f *fixture.HoardingPermit) {
+			f.Model.FindENUM("CountryType_Code").AddLiteral("NZL", "New Zealand")
+		}),
+	}
+	for i, body := range revisions {
+		rp, err := repo.Open(cfg.repoDir, cfg.repoConfig(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := cfg.server
+		sc.Repo = rp
+		rec := serve(sc, http.MethodPost, path, body)
+		if err := rp.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("publish %d: status %d, want 201: %s", i+1, rec.Code, rec.Body)
+		}
 	}
 }
 

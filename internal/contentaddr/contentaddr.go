@@ -22,9 +22,26 @@ import (
 // documents are distinct inputs, which is the safe direction for
 // content addressing (false misses cost a regeneration; false hits
 // would serve the wrong schemas).
+//
+// A document without '\r' is returned as a subslice of xmi, without a
+// copy; callers must not modify the result.
 func Canonicalize(xmi []byte) []byte {
-	out := bytes.ReplaceAll(xmi, []byte("\r\n"), []byte("\n"))
-	out = bytes.ReplaceAll(out, []byte{'\r'}, []byte{'\n'})
+	if bytes.IndexByte(xmi, '\r') < 0 {
+		return bytes.TrimRight(xmi, " \t\n")
+	}
+	out := make([]byte, 0, len(xmi))
+	for {
+		i := bytes.IndexByte(xmi, '\r')
+		if i < 0 {
+			break
+		}
+		out = append(append(out, xmi[:i]...), '\n')
+		xmi = xmi[i+1:]
+		if len(xmi) > 0 && xmi[0] == '\n' {
+			xmi = xmi[1:]
+		}
+	}
+	out = append(out, xmi...)
 	return bytes.TrimRight(out, " \t\n")
 }
 

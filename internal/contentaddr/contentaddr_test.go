@@ -1,8 +1,10 @@
 package contentaddr
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -23,6 +25,35 @@ func TestCanonicalizeLineEndings(t *testing.T) {
 		if got := string(Canonicalize([]byte(tc.in))); got != tc.want {
 			t.Errorf("%s: Canonicalize(%q) = %q, want %q", tc.name, tc.in, got, tc.want)
 		}
+	}
+}
+
+// canonicalizeReference is the two-pass definition Canonicalize must
+// keep matching.
+func canonicalizeReference(xmi []byte) []byte {
+	out := bytes.ReplaceAll(xmi, []byte("\r\n"), []byte("\n"))
+	out = bytes.ReplaceAll(out, []byte{'\r'}, []byte{'\n'})
+	return bytes.TrimRight(out, " \t\n")
+}
+
+func TestCanonicalizeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pieces := []string{"\r", "\r\n", "\n", " ", "\t", "<a/>", "x"}
+	for i := 0; i < 5000; i++ {
+		var b []byte
+		for n := rng.Intn(12); n > 0; n-- {
+			b = append(b, pieces[rng.Intn(len(pieces))]...)
+		}
+		if got, want := Canonicalize(b), canonicalizeReference(b); !bytes.Equal(got, want) {
+			t.Fatalf("Canonicalize(%q) = %q, want %q", b, got, want)
+		}
+	}
+}
+
+func TestCanonicalizeCanonicalBodyAllocatesNothing(t *testing.T) {
+	body := []byte(strings.Repeat("<a>\n  <b/>\n</a>\n", 1000))
+	if allocs := testing.AllocsPerRun(100, func() { Canonicalize(body) }); allocs != 0 {
+		t.Errorf("Canonicalize of a canonical body allocates %v times per call, want 0", allocs)
 	}
 }
 

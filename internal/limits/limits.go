@@ -18,8 +18,9 @@ import (
 )
 
 // Limits bounds the resources one parsed document may consume. A zero
-// field disables that particular limit; the zero value disables all of
-// them (use Default for production parsing).
+// or negative field disables that particular limit; the zero value
+// disables all of them (use Default for production parsing).
+// Configuration structs read a zero Limits as unset (see OrDefault).
 type Limits struct {
 	// MaxInputBytes caps the total bytes read from the input stream.
 	MaxInputBytes int64
@@ -48,8 +49,21 @@ func Default() Limits {
 }
 
 // Unlimited returns limits with every check disabled, for trusted
-// in-process round trips.
-func Unlimited() Limits { return Limits{} }
+// in-process round trips. Its fields are negative, so OrDefault keeps it
+// where it replaces the zero value.
+func Unlimited() Limits {
+	return Limits{MaxInputBytes: -1, MaxDepth: -1, MaxElements: -1, MaxAttributes: -1, MaxTokenLen: -1}
+}
+
+// OrDefault resolves a configured Limits: the zero value, an unset
+// configuration field, means Default; anything else, Unlimited included,
+// stands.
+func (l Limits) OrDefault() Limits {
+	if l == (Limits{}) {
+		return Default()
+	}
+	return l
+}
 
 // ErrLimit is matched by errors.Is for every limit violation.
 var ErrLimit = errors.New("input limit exceeded")

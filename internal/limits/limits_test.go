@@ -28,6 +28,19 @@ func TestUnlimitedPassesEverything(t *testing.T) {
 	}
 }
 
+func TestOrDefaultKeepsUnlimited(t *testing.T) {
+	if got := (Limits{}).OrDefault(); got != Default() {
+		t.Errorf("zero Limits resolves to %+v, want Default", got)
+	}
+	if got := Unlimited().OrDefault(); got != Unlimited() {
+		t.Errorf("Unlimited resolves to %+v, want Unlimited", got)
+	}
+	custom := Limits{MaxDepth: 4}
+	if got := custom.OrDefault(); got != custom {
+		t.Errorf("custom limits resolve to %+v, want %+v", got, custom)
+	}
+}
+
 func TestMaxDepth(t *testing.T) {
 	doc := strings.Repeat("<p>", 12) + strings.Repeat("</p>", 12)
 	err := drain(NewDecoder(strings.NewReader(doc), Limits{MaxDepth: 10}))

@@ -85,8 +85,15 @@ type Follower struct {
 	done      chan struct{}
 	probeStop func()
 
-	mApplied, mPrimarySeq, mLag *metrics.Gauge
-	mResyncs, mFrames           *metrics.Counter
+	// m is nil until Instrument, which may run while the replication
+	// loop already reads it.
+	m atomic.Pointer[followerMetrics]
+}
+
+// followerMetrics are the instruments Instrument registers.
+type followerMetrics struct {
+	applied, primarySeq, lag *metrics.Gauge
+	resyncs, frames          *metrics.Counter
 }
 
 // NewFollower prepares a follower replicating r from the primary at
@@ -117,14 +124,18 @@ func NewFollower(r *repo.Repo, primaryURL string, opts FollowerOptions) *Followe
 	return f
 }
 
-// Instrument registers the replication gauges and counters.
+// Instrument registers the replication gauges and counters. It is safe
+// on a started follower.
 func (f *Follower) Instrument(reg *metrics.Registry) {
-	f.mApplied = reg.Gauge("repl_applied_seq", "Last WAL sequence number applied from the primary.")
-	f.mPrimarySeq = reg.Gauge("repl_primary_seq", "Primary's committed WAL sequence number as last observed.")
-	f.mLag = reg.Gauge("repl_lag_seconds", "Seconds since the follower last matched the primary's seq (0 when caught up).")
-	f.mResyncs = reg.Counter("repl_resync_total", "Snapshot re-bootstraps after divergence or tail loss.")
-	f.mFrames = reg.Counter("repl_frames_total", "WAL frames applied from the primary.")
-	f.mApplied.Set(f.appliedSeq.Load())
+	m := &followerMetrics{
+		applied:    reg.Gauge("repl_applied_seq", "Last WAL sequence number applied from the primary."),
+		primarySeq: reg.Gauge("repl_primary_seq", "Primary's committed WAL sequence number as last observed."),
+		lag:        reg.Gauge("repl_lag_seconds", "Seconds since the follower last matched the primary's seq (0 when caught up)."),
+		resyncs:    reg.Counter("repl_resync_total", "Snapshot re-bootstraps after divergence or tail loss."),
+		frames:     reg.Counter("repl_frames_total", "WAL frames applied from the primary."),
+	}
+	m.applied.Set(f.appliedSeq.Load())
+	f.m.Store(m)
 }
 
 // Start launches the stream and the primary probe. Idempotent.
@@ -343,8 +354,8 @@ func (f *Follower) observePrimarySeq(h string) {
 			break
 		}
 	}
-	if f.mPrimarySeq != nil {
-		f.mPrimarySeq.Set(f.primarySeq.Load())
+	if m := f.m.Load(); m != nil {
+		m.primarySeq.Set(f.primarySeq.Load())
 	}
 	f.updateLag()
 }
@@ -375,11 +386,9 @@ func (f *Follower) applyLine(ctx context.Context, line []byte) error {
 	}
 	f.appliedSeq.Store(seq)
 	f.frames.Add(1)
-	if f.mApplied != nil {
-		f.mApplied.Set(seq)
-	}
-	if f.mFrames != nil {
-		f.mFrames.Inc()
+	if m := f.m.Load(); m != nil {
+		m.applied.Set(seq)
+		m.frames.Inc()
 	}
 	if seq > f.primarySeq.Load() {
 		f.primarySeq.Store(seq)
@@ -393,8 +402,8 @@ func (f *Follower) updateLag() {
 	if f.appliedSeq.Load() >= f.primarySeq.Load() {
 		f.caughtUpAt.Store(time.Now().UnixNano())
 	}
-	if f.mLag != nil {
-		f.mLag.Set(int64(f.lagSeconds()))
+	if m := f.m.Load(); m != nil {
+		m.lag.Set(int64(f.lagSeconds()))
 	}
 }
 
@@ -476,11 +485,9 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	}
 	f.appliedSeq.Store(walSeq)
 	f.resyncs.Add(1)
-	if f.mApplied != nil {
-		f.mApplied.Set(walSeq)
-	}
-	if f.mResyncs != nil {
-		f.mResyncs.Inc()
+	if m := f.m.Load(); m != nil {
+		m.applied.Set(walSeq)
+		m.resyncs.Inc()
 	}
 	if walSeq > f.primarySeq.Load() {
 		f.primarySeq.Store(walSeq)

@@ -72,7 +72,6 @@ func (p *publisher) publish(r *repo.Repo) *repo.Version {
 		RootElement: res.RootElement,
 		Files:       files,
 		Diagnostics: []byte(`{"findings":[]}`),
-		Model:       p.f.Model,
 	})
 	if err != nil {
 		p.t.Fatalf("Publish: %v", err)

@@ -69,3 +69,50 @@ func BenchmarkRepoVersionFile(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRepoPublishCompat measures a publish through the backward
+// compatibility gate. Every iteration is a new revision of one subject:
+// a trailing comment changes the input's address but not its model, and
+// the publish is handed that model the way the server hands over its
+// cache-miss import. The run prices the gate (base model and diff), the
+// new input blob and the WAL commit.
+func BenchmarkRepoPublishCompat(b *testing.B) {
+	r := openRepo(b, b.TempDir(), Config{DefaultPolicy: PolicyBackward, CheckpointEvery: 1 << 20})
+	req := buildRequest(b, fixture.MustBuildHoardingPermit())
+	if _, err := r.Publish(req); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(req.Input)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		iter := req
+		iter.Input = append(req.Input[:len(req.Input):len(req.Input)], fmt.Sprintf("<!--%d-->", i)...)
+		if _, err := r.Publish(iter); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRepoCheck measures the dry-run gate the way the compat
+// endpoint calls it: a compatible revision, without a model, checked
+// against the subject's latest version.
+func BenchmarkRepoCheck(b *testing.B) {
+	r := openRepo(b, b.TempDir(), Config{CheckpointEvery: 1 << 20})
+	if _, err := r.Publish(buildRequest(b, fixture.MustBuildHoardingPermit())); err != nil {
+		b.Fatal(err)
+	}
+	f := fixture.MustBuildHoardingPermit()
+	additive(f)
+	input := buildRequest(b, f).Input
+	b.SetBytes(int64(len(input)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := r.Check(testSubject, input, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Compatible {
+			b.Fatal("additive revision checked incompatible")
+		}
+	}
+}

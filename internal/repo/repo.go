@@ -130,7 +130,9 @@ type PublishRequest struct {
 	Policy Policy
 	// Model is the imported model of Input, when the caller already has
 	// it; nil makes the repository import Input itself for the
-	// compatibility diff.
+	// compatibility diff. A committed publish keeps the model as the
+	// subject's compatibility base, shared read-only with concurrent
+	// gates, so the caller must not modify it afterwards.
 	Model *core.Model
 }
 
@@ -171,7 +173,8 @@ type Config struct {
 	// harmonization pipeline).
 	DefaultPolicy Policy
 	// Limits bounds the XMI imports the compatibility gate performs;
-	// the zero value means limits.Default().
+	// the zero value means limits.Default() (limits.Unlimited() disables
+	// them).
 	Limits limits.Limits
 	// CheckpointEvery is the number of WAL records between manifest
 	// checkpoints; 0 means 64. Checkpoints compact the WAL.
@@ -324,13 +327,18 @@ type Repo struct {
 	blobCount int64
 	blobBytes int64
 
+	// bases memoises each subject's compatibility base (compatbase.go).
+	bases compatBases
+
 	publishes  atomic.Int64
 	rejections atomic.Int64
 	deletes    atomic.Int64
+	baseHits   atomic.Int64
+	baseMisses atomic.Int64
 
 	// Optional instruments; nil until Instrument is called.
-	mSubjects, mVersions, mBlobs, mBlobBytes, mLogicalBytes *metrics.Gauge
-	mPublishes, mRejections, mDeletes                       *metrics.Counter
+	mSubjects, mVersions, mBlobs, mBlobBytes, mLogicalBytes   *metrics.Gauge
+	mPublishes, mRejections, mDeletes, mBaseHits, mBaseMisses *metrics.Counter
 }
 
 // Open loads (or initializes) the repository at dir: abandoned temp
@@ -348,7 +356,7 @@ func Open(dir string, cfg Config) (*Repo, error) {
 	r := &Repo{
 		dir:             dir,
 		defaultPolicy:   cfg.DefaultPolicy,
-		lim:             cfg.Limits,
+		lim:             cfg.Limits.OrDefault(),
 		checkpointEvery: cfg.CheckpointEvery,
 		health:          cfg.Health,
 		fWAL:            cfg.FaultWAL,
@@ -361,9 +369,6 @@ func Open(dir string, cfg Config) (*Repo, error) {
 	}
 	if _, err := ParsePolicy(string(r.defaultPolicy)); err != nil {
 		return nil, err
-	}
-	if r.lim == (limits.Limits{}) {
-		r.lim = limits.Default()
 	}
 	if r.checkpointEvery <= 0 {
 		r.checkpointEvery = 64
@@ -489,11 +494,15 @@ func (r *Repo) Instrument(reg *metrics.Registry) {
 	r.mBlobBytes = reg.Gauge("repo_blob_bytes", "Bytes resident in the repository blob store.")
 	r.mLogicalBytes = reg.Gauge("repo_logical_bytes", "Bytes all live versions would occupy without blob sharing.")
 	r.mPublishes = reg.Counter("repo_publishes_total", "Versions published to the repository.")
+	r.mBaseHits = reg.Counter("repo_compat_base_hits_total", "Compatibility gates that diffed against the subject's memoised base model.")
+	r.mBaseMisses = reg.Counter("repo_compat_base_misses_total", "Compatibility gates that re-imported the previous version's stored input.")
 	r.mRejections = reg.Counter("repo_publish_rejected_total", "Publishes rejected by a compatibility policy.")
 	r.mDeletes = reg.Counter("repo_deletes_total", "Versions tombstoned.")
 	r.mPublishes.Add(r.publishes.Load())
 	r.mRejections.Add(r.rejections.Load())
 	r.mDeletes.Add(r.deletes.Load())
+	r.mBaseHits.Add(r.baseHits.Load())
+	r.mBaseMisses.Add(r.baseMisses.Load())
 	r.syncMetrics()
 }
 
@@ -592,11 +601,13 @@ func (r *Repo) Publish(req PublishRequest) (*Version, error) {
 	if sub != nil {
 		prev = sub.latestLive()
 	}
+	model := req.Model
 	if prev != nil && policy == PolicyBackward {
-		report, err := r.compatReport(prev, canon, req.Model)
+		report, revision, err := r.compatReport(req.Subject, prev, canon, req.Model)
 		if err != nil {
 			return nil, err
 		}
+		model = revision
 		if len(report.Breaking()) > 0 {
 			r.rejections.Add(1)
 			if r.mRejections != nil {
@@ -640,6 +651,9 @@ func (r *Repo) Publish(req PublishRequest) (*Version, error) {
 	if err := r.commit(rec); err != nil {
 		return nil, err
 	}
+	if model != nil {
+		r.bases.put(req.Subject, v.InputSHA256, v.InputSize, model)
+	}
 	r.publishes.Add(1)
 	if r.mPublishes != nil {
 		r.mPublishes.Inc()
@@ -648,22 +662,40 @@ func (r *Repo) Publish(req PublishRequest) (*Version, error) {
 	return &v, nil
 }
 
-// compatReport diffs the stored previous input against the new one.
-func (r *Repo) compatReport(prev *Version, canon []byte, newModel *core.Model) (*diff.Report, error) {
-	oldData, err := r.Blob(prev.InputSHA256)
-	if err != nil {
-		return nil, fmt.Errorf("repo: loading version %d input: %w", prev.Number, err)
-	}
-	oldModel, err := r.importModel(oldData)
-	if err != nil {
-		return nil, fmt.Errorf("repo: reimporting version %d input: %w", prev.Number, err)
+// compatReport diffs subject's previous version prev against the
+// revision canon. The previous model comes from the memo when it holds
+// prev's input, else from re-importing the stored input, which then
+// becomes the memoised base. The revision's model is newModel, or canon
+// imported when nil; it is returned for Publish to memoise once the
+// revision commits.
+func (r *Repo) compatReport(subject string, prev *Version, canon []byte, newModel *core.Model) (*diff.Report, *core.Model, error) {
+	oldModel := r.bases.get(subject, prev.InputSHA256)
+	if oldModel != nil {
+		r.baseHits.Add(1)
+		if r.mBaseHits != nil {
+			r.mBaseHits.Inc()
+		}
+	} else {
+		r.baseMisses.Add(1)
+		if r.mBaseMisses != nil {
+			r.mBaseMisses.Inc()
+		}
+		oldData, err := r.Blob(prev.InputSHA256)
+		if err != nil {
+			return nil, nil, fmt.Errorf("repo: loading version %d input: %w", prev.Number, err)
+		}
+		if oldModel, err = r.importModel(oldData); err != nil {
+			return nil, nil, fmt.Errorf("repo: reimporting version %d input: %w", prev.Number, err)
+		}
+		r.bases.put(subject, prev.InputSHA256, prev.InputSize, oldModel)
 	}
 	if newModel == nil {
+		var err error
 		if newModel, err = r.importModel(canon); err != nil {
-			return nil, fmt.Errorf("repo: importing revision: %w", err)
+			return nil, nil, fmt.Errorf("repo: importing revision: %w", err)
 		}
 	}
-	return diff.Compare(oldModel, newModel), nil
+	return diff.Compare(oldModel, newModel), newModel, nil
 }
 
 // importModel runs the hardened XMI import and profile extraction.
@@ -705,7 +737,7 @@ func (r *Repo) Check(subject string, input []byte, model *core.Model) (*CompatRe
 		}
 		return res, nil
 	}
-	report, err := r.compatReport(prev, canon, model)
+	report, _, err := r.compatReport(subject, prev, canon, model)
 	if err != nil {
 		return nil, err
 	}
@@ -751,6 +783,9 @@ func (r *Repo) Delete(subject string, number int) error {
 	}
 	if err := r.commit(&walRecord{Op: opDelete, Subject: subject, Number: number}); err != nil {
 		return err
+	}
+	if v == sub.latestLive() {
+		r.bases.drop(subject)
 	}
 	r.deletes.Add(1)
 	if r.mDeletes != nil {

@@ -21,12 +21,22 @@ const testSubject = "urn:au:gov:vic:easybiz:draft:doc:HoardingPermit"
 
 // buildRequest exports the fixture's model as XMI, generates the
 // HoardingPermit document schema set and assembles the publish request a
-// pipeline client would send.
+// pipeline client would send. Like the server, it hands over the model
+// imported from the XMI, which nothing modifies afterwards (a publish
+// keeps it as the subject's compatibility base).
 func buildRequest(t testing.TB, f *fixture.HoardingPermit) PublishRequest {
 	t.Helper()
 	var xb bytes.Buffer
 	if err := xmi.Export(profile.Render(f.Model), &xb); err != nil {
 		t.Fatalf("exporting XMI: %v", err)
+	}
+	um, err := xmi.Import(bytes.NewReader(xb.Bytes()))
+	if err != nil {
+		t.Fatalf("importing XMI: %v", err)
+	}
+	model, err := profile.Extract(um)
+	if err != nil {
+		t.Fatalf("extracting model: %v", err)
 	}
 	res, err := gen.GenerateDocument(f.DOCLib, "HoardingPermit", gen.Options{})
 	if err != nil {
@@ -47,7 +57,7 @@ func buildRequest(t testing.TB, f *fixture.HoardingPermit) PublishRequest {
 		RootElement: res.RootElement,
 		Files:       files,
 		Diagnostics: []byte(`{"findings":[]}`),
-		Model:       f.Model,
+		Model:       model,
 	}
 }
 

@@ -152,7 +152,8 @@ func (s *Server) handleRepoPublish(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	// The cold path yields the imported model as a by-product; on a
-	// cache hit it stays nil and the repository re-imports for the gate.
+	// cache hit it stays nil and the repository imports the revision for
+	// the gate.
 	var model *ccts.Model
 	key := schemacache.Key(body, params.fingerprint())
 	val, outcome, err := s.cache.Do(ctx, key, func() (*schemacache.Value, error) {
@@ -343,8 +344,9 @@ func (s *Server) handleRepoCompat(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, aerr)
 		return
 	}
-	// The dry run imports up to two models; take an admission slot like
-	// any other compute-bound request.
+	// The dry run imports the revision, and the previous version's input
+	// unless the repository has its model memoised; take an admission
+	// slot like any other compute-bound request.
 	ctx, cancel, aerr := s.requestContext(r)
 	if aerr != nil {
 		s.writeError(w, aerr)

@@ -61,7 +61,8 @@ type Config struct {
 	// RequestTimeout bounds one request's work; 0 disables the bound.
 	RequestTimeout time.Duration
 	// Limits is the ingestion budget applied to request bodies and the
-	// XML parsing behind them; the zero value means limits.Default().
+	// XML parsing behind them; the zero value means limits.Default()
+	// (limits.Unlimited() disables the parse limits).
 	Limits limits.Limits
 	// CacheBytes is the schema cache budget. 0 means the 64 MiB
 	// default; negative disables caching (singleflight still applies).
@@ -182,10 +183,6 @@ type Server struct {
 
 // New builds a Server from cfg, applying the documented defaults.
 func New(cfg Config) *Server {
-	lim := cfg.Limits
-	if lim == (limits.Limits{}) {
-		lim = limits.Default()
-	}
 	maxInFlight := cfg.MaxInFlight
 	if maxInFlight <= 0 {
 		maxInFlight = 2 * runtime.GOMAXPROCS(0)
@@ -200,7 +197,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:      cfg,
-		lim:      lim,
+		lim:      cfg.Limits.OrDefault(),
 		cache:    schemacache.New(cacheBytes),
 		reg:      cfg.Registry,
 		repo:     cfg.Repo,
