@@ -1,7 +1,7 @@
 package ccts
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -74,79 +74,26 @@ func GenerateContext(ctx context.Context, lib *Library, opts GenerateOptions) (*
 func SchemaFileName(lib *Library) string { return ndr.SchemaFileName(lib) }
 
 // WriteSchemas writes every generated schema into dir, creating it if
-// needed, and returns the written file paths in generation order. Each
-// schema is written through a buffered writer to a temporary file in
-// the target directory and renamed into place only once fully flushed,
-// so a crashed or failed run never leaves a truncated .xsd behind.
+// needed, and returns the written file paths in generation order. The
+// schemas are rendered in memory and written by WriteOutput, so a
+// crashed or failed run never leaves a truncated .xsd behind.
 func WriteSchemas(res *GenerateResult, dir string) ([]string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ccts: %w", err)
-	}
-	var paths []string
+	out := &GenOutput{}
 	for _, file := range res.Order {
-		path := filepath.Join(dir, file)
-		if err := writeSchemaAtomic(res.Schemas[file], dir, path); err != nil {
-			return nil, err
+		var buf bytes.Buffer
+		if err := res.Schemas[file].Write(&buf); err != nil {
+			return nil, fmt.Errorf("ccts: rendering %s: %w", file, err)
 		}
-		paths = append(paths, path)
+		out.Files = append(out.Files, GenOutFile{Name: file, Data: buf.Bytes()})
 	}
-	return paths, nil
+	return WriteOutput(out, dir)
 }
 
 // wrapSchemaWriter is the fault-injection seam of the write path: tests
-// interpose a failing writer between the buffered encoder and the temp
-// file to prove that a mid-write failure aborts cleanly, leaves no
-// *.tmp* file behind and surfaces an error naming the schema. It is nil
-// in production.
+// interpose a failing writer in front of the temp file to prove that a
+// mid-write failure aborts cleanly, leaves no *.tmp* file behind and
+// surfaces an error naming the schema. It is nil in production.
 var wrapSchemaWriter func(io.Writer) io.Writer
-
-// writeSchemaAtomic writes one schema to a temp file in dir and renames
-// it onto path; the temp file is removed on any failure. The temp file
-// is fsynced before the rename (and the directory after it,
-// best-effort), so the crash-safety claim holds across power loss, not
-// just process death.
-func writeSchemaAtomic(s *Schema, dir, path string) (err error) {
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("ccts: creating temp file for %s: %w", path, err)
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	var out io.Writer = f
-	if wrapSchemaWriter != nil {
-		out = wrapSchemaWriter(out)
-	}
-	w := bufio.NewWriter(out)
-	if err := s.Write(w); err != nil {
-		return fmt.Errorf("ccts: writing %s: %w", path, err)
-	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("ccts: writing %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("ccts: syncing %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("ccts: closing %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ccts: renaming %s into place: %w", path, err)
-	}
-	// Sync the directory so the rename itself is durable; best-effort
-	// because not every platform or filesystem supports fsync on
-	// directories.
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
 
 // Instance validation (the schemas "are then used to validate XML
 // messages exchanged during a business process").

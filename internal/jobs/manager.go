@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/go-ccts/ccts/internal/durable"
 	"github.com/go-ccts/ccts/internal/metrics"
 )
 
@@ -204,7 +205,7 @@ func (m *Manager) logf(format string, args ...any) {
 // recover rebuilds the in-memory state: checkpointed jobs, replayed
 // WAL records, condensed event logs, and the work queue for everything
 // still unfinished.
-func (m *Manager) recover(cp *checkpointDoc, replay []*record) error {
+func (m *Manager) recover(cp *checkpointDoc, replay []durable.Entry[*record]) error {
 	for _, id := range cp.Expired {
 		m.expired[id] = struct{}{}
 		m.expireLog = append(m.expireLog, id)
@@ -250,8 +251,8 @@ func (m *Manager) recover(cp *checkpointDoc, replay []*record) error {
 		}
 	}
 
-	for _, rec := range replay {
-		j := m.jobs[rec.Job]
+	for _, e := range replay {
+		rec, j := e.Rec, m.jobs[e.Rec.Job]
 		switch rec.Op {
 		case opSubmit:
 			if j != nil {

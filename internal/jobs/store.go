@@ -1,35 +1,30 @@
 package jobs
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
+
+	"github.com/go-ccts/ccts/internal/contentaddr"
+	"github.com/go-ccts/ccts/internal/durable"
 )
 
-// On-disk layout under the job directory:
+// On-disk layout under the job directory, written through the
+// internal/durable kernel that the schema repository also runs on:
 //
 //	jobs.json              checkpoint: every live job's durable state
-//	                       plus the expiry tombstones (atomic
-//	                       temp-file+rename, fsync'd)
+//	                       plus the expiry tombstones (durable.WriteFile)
 //	jobs.wal               append-only records since the checkpoint,
-//	                       one CRC-framed JSON line each
+//	                       one JSON payload per frame (durable.Log)
 //	blobs/<p>/<sha256>     content-addressed store for model inputs and
-//	                       result archives (p = first two hex digits)
+//	                       result archives, p = first two hex digits
+//	                       (durable.Blobs)
 //
-// The framing and recovery rules are those of internal/repo's WAL:
-// every record is fsync'd before the in-memory state advances, blobs
-// are durable before any record references them, and recovery decodes
-// the longest valid prefix (contiguous sequence numbers, CRC-verified
-// lines), truncating a torn tail.
+// Every record is fsync'd before the in-memory state advances, blobs
+// are durable before any record references them, and recovery replays
+// the records durable.OpenLog keeps above the checkpoint's watermark.
 
 const (
 	walName        = "jobs.wal"
@@ -80,90 +75,47 @@ type record struct {
 	State State `json:"state,omitempty"`
 }
 
-// encodeRecord frames rec as "crc32(payload) payload\n" — the same
-// framing as the repository WAL.
+// encodeRecord frames rec as one WAL line (durable.AppendFrame).
 func encodeRecord(rec *record) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: encoding WAL record: %w", err)
 	}
-	line := make([]byte, 0, len(payload)+10)
-	line = append(line, fmt.Sprintf("%08x ", crc32.ChecksumIEEE(payload))...)
-	line = append(line, payload...)
-	line = append(line, '\n')
-	return line, nil
+	return durable.AppendFrame(make([]byte, 0, len(payload)+10), payload), nil
 }
 
-// decodeLine parses one "crc payload" frame, validating the fields a
-// record of its operation must carry.
-func decodeLine(line []byte) (*record, bool) {
-	if len(line) < 10 || line[8] != ' ' {
-		return nil, false
-	}
-	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
-	if err != nil {
-		return nil, false
-	}
-	payload := line[9:]
-	if crc32.ChecksumIEEE(payload) != uint32(want) {
-		return nil, false
-	}
+// decodeRecord parses one frame payload, validating the fields a record
+// of its operation must carry.
+func decodeRecord(payload []byte) (*record, int64, bool) {
 	rec := &record{}
 	if err := json.Unmarshal(payload, rec); err != nil {
-		return nil, false
+		return nil, 0, false
 	}
 	if rec.Seq <= 0 || rec.Job == "" {
-		return nil, false
+		return nil, 0, false
 	}
 	switch rec.Op {
 	case opSubmit:
 		if rec.Spec == nil || len(rec.Spec.Items) == 0 || rec.JobSeq <= 0 {
-			return nil, false
+			return nil, 0, false
 		}
 	case opItemDone:
 		if rec.Item <= 0 || rec.SHA == "" {
-			return nil, false
+			return nil, 0, false
 		}
 	case opItemFailed:
 		if rec.Item <= 0 {
-			return nil, false
+			return nil, 0, false
 		}
 	case opDone:
 		if !rec.State.Terminal() {
-			return nil, false
+			return nil, 0, false
 		}
 	case opCancel, opExpire:
 	default:
-		return nil, false
+		return nil, 0, false
 	}
-	return rec, true
-}
-
-// scanWAL decodes the longest valid prefix of a WAL image: CRC-verified
-// complete lines with contiguous sequence numbers. It returns the
-// decoded records and the byte length of that prefix; everything after
-// it is a torn or corrupt tail the caller truncates away.
-func scanWAL(data []byte) (recs []*record, goodLen int) {
-	off := 0
-	var lastSeq int64 = -1
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // unterminated tail
-		}
-		rec, ok := decodeLine(data[off : off+nl])
-		if !ok {
-			break
-		}
-		if lastSeq >= 0 && rec.Seq != lastSeq+1 {
-			break
-		}
-		lastSeq = rec.Seq
-		recs = append(recs, rec)
-		off += nl + 1
-		goodLen = off
-	}
-	return recs, goodLen
+	return rec, rec.Seq, true
 }
 
 // persistedItem is one item's durable state in a checkpoint.
@@ -201,21 +153,22 @@ type checkpointDoc struct {
 // store is the persistence layer under a Manager: the WAL, the
 // checkpoint and the blob store. Methods are safe for concurrent use.
 type store struct {
-	dir string
+	dir   string
+	blobs durable.Blobs
 
 	mu  sync.Mutex
-	wal *os.File
+	wal *durable.Log
 	seq int64
 }
 
 // openStore opens (creating if needed) the job directory and recovers
-// the durable state: checkpoint, then the valid WAL prefix beyond it,
-// truncating any torn tail and sweeping crash-abandoned temp files.
-func openStore(dir string) (*store, *checkpointDoc, []*record, error) {
+// the durable state: checkpoint, then the WAL records beyond it, after
+// sweeping crash-abandoned temp files.
+func openStore(dir string) (*store, *checkpointDoc, []durable.Entry[*record], error) {
 	if err := os.MkdirAll(filepath.Join(dir, blobDirName), 0o755); err != nil {
 		return nil, nil, nil, fmt.Errorf("jobs: creating job directory: %w", err)
 	}
-	if err := removeTempFiles(dir); err != nil {
+	if err := durable.SweepTemp(dir); err != nil {
 		return nil, nil, nil, fmt.Errorf("jobs: sweeping temp files: %w", err)
 	}
 
@@ -231,38 +184,17 @@ func openStore(dir string) (*store, *checkpointDoc, []*record, error) {
 		return nil, nil, nil, fmt.Errorf("jobs: reading checkpoint: %w", err)
 	}
 
-	walPath := filepath.Join(dir, walName)
-	var recs []*record
-	goodLen := 0
-	if data, err := os.ReadFile(walPath); err == nil {
-		recs, goodLen = scanWAL(data)
-		if goodLen < len(data) {
-			if err := os.Truncate(walPath, int64(goodLen)); err != nil {
-				return nil, nil, nil, fmt.Errorf("jobs: truncating torn WAL tail: %w", err)
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, nil, nil, fmt.Errorf("jobs: reading WAL: %w", err)
-	}
-
-	// Records at or below the checkpoint's seq are already absorbed.
-	replay := recs[:0:0]
-	seq := cp.WALSeq
-	for _, rec := range recs {
-		if rec.Seq > seq {
-			replay = append(replay, rec)
-			seq = rec.Seq
-		}
-	}
-
-	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	wal, replay, err := durable.OpenLog(filepath.Join(dir, walName), cp.WALSeq, decodeRecord)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("jobs: opening WAL: %w", err)
+		return nil, nil, nil, fmt.Errorf("jobs: recovering WAL: %w", err)
 	}
-	return &store{dir: dir, wal: f, seq: seq}, cp, replay, nil
+	s := &store{dir: dir, blobs: durable.Blobs(filepath.Join(dir, blobDirName)), wal: wal, seq: cp.WALSeq + int64(len(replay))}
+	return s, cp, replay, nil
 }
 
-// append commits one record: sequence assignment, CRC framing, fsync.
+// append commits one record: sequence assignment, framing, fsync. A
+// failed append leaves no trace in the WAL and does not consume a
+// sequence number.
 func (s *store) append(rec *record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -274,11 +206,8 @@ func (s *store) append(rec *record) error {
 	if err != nil {
 		return err
 	}
-	if _, err := s.wal.Write(line); err != nil {
-		return fmt.Errorf("jobs: appending WAL record: %w", err)
-	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("jobs: syncing WAL: %w", err)
+	if err := s.wal.Append(line, nil); err != nil {
+		return fmt.Errorf("jobs: %w", err)
 	}
 	s.seq = rec.Seq
 	return nil
@@ -299,16 +228,11 @@ func (s *store) checkpoint(doc *checkpointDoc) error {
 	if err != nil {
 		return fmt.Errorf("jobs: encoding checkpoint: %w", err)
 	}
-	if err := atomicWrite(s.dir, filepath.Join(s.dir, checkpointName), data); err != nil {
-		return err
+	if err := durable.WriteFile(filepath.Join(s.dir, checkpointName), data, nil); err != nil {
+		return fmt.Errorf("jobs: writing checkpoint: %w", err)
 	}
-	// The checkpoint has absorbed every committed record; restart the
-	// log. Truncate-in-place keeps the append handle valid.
-	if err := s.wal.Truncate(0); err != nil {
-		return fmt.Errorf("jobs: truncating WAL after checkpoint: %w", err)
-	}
-	if _, err := s.wal.Seek(0, 0); err != nil {
-		return fmt.Errorf("jobs: rewinding WAL after checkpoint: %w", err)
+	if err := s.wal.Reset(); err != nil {
+		return fmt.Errorf("jobs: resetting WAL after checkpoint: %w", err)
 	}
 	return nil
 }
@@ -326,29 +250,20 @@ func (s *store) close() error {
 }
 
 // putBlob stores data content-addressed and returns its address. Blobs
-// are written durably (temp file, fsync, rename) before any WAL record
-// references them; an already-resident blob is a no-op, which is what
-// deduplicates a model submitted for several targets.
+// are durable before any WAL record references them; an
+// already-resident blob is a no-op, which is what deduplicates a model
+// submitted for several targets.
 func (s *store) putBlob(data []byte) (string, error) {
-	sum := sha256.Sum256(data)
-	sha := hex.EncodeToString(sum[:])
-	path := s.blobPath(sha)
-	if _, err := os.Stat(path); err == nil {
-		return sha, nil
-	}
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("jobs: creating blob directory: %w", err)
-	}
-	if err := atomicWrite(dir, path, data); err != nil {
-		return "", err
+	sha := contentaddr.BlobSum(data)
+	if _, err := s.blobs.Put(sha, data, nil); err != nil {
+		return "", fmt.Errorf("jobs: storing blob: %w", err)
 	}
 	return sha, nil
 }
 
 // blob reads one content-addressed blob.
 func (s *store) blob(sha string) ([]byte, error) {
-	data, err := os.ReadFile(s.blobPath(sha))
+	data, err := os.ReadFile(s.blobs.Path(sha))
 	if err != nil {
 		return nil, fmt.Errorf("jobs: reading blob %s: %w", sha, err)
 	}
@@ -358,58 +273,5 @@ func (s *store) blob(sha string) ([]byte, error) {
 // removeBlob deletes one blob; missing files are not an error (expiry
 // races are harmless).
 func (s *store) removeBlob(sha string) {
-	os.Remove(s.blobPath(sha))
-}
-
-func (s *store) blobPath(sha string) string {
-	return filepath.Join(s.dir, blobDirName, sha[:2], sha)
-}
-
-// atomicWrite writes data to path via an fsync'd temp file in dir
-// renamed into place — the durability discipline shared with
-// ccts.WriteSchemas and the repository.
-func atomicWrite(dir, path string, data []byte) (err error) {
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("jobs: creating temp file for %s: %w", path, err)
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	if _, err := f.Write(data); err != nil {
-		return fmt.Errorf("jobs: writing %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("jobs: syncing %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("jobs: closing %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("jobs: renaming %s into place: %w", path, err)
-	}
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// removeTempFiles deletes abandoned *.tmp* files anywhere under dir —
-// the residue of a crash between CreateTemp and rename.
-func removeTempFiles(dir string) error {
-	return filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		if strings.Contains(d.Name(), ".tmp") {
-			return os.Remove(path)
-		}
-		return nil
-	})
+	os.Remove(s.blobs.Path(sha))
 }

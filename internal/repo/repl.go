@@ -28,6 +28,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+
+	"github.com/go-ccts/ccts/internal/durable"
 )
 
 // Replication sentinels.
@@ -210,19 +212,15 @@ func (r *Repo) InstallSnapshot(data []byte) error {
 	if r.closed {
 		return ErrClosed
 	}
-	if err := atomicWrite(r.dir, manifestPath(r.dir), data, r.manifestWrap()); err != nil {
+	if err := durable.WriteFile(manifestPath(r.dir), data, seam(r.fManifest, wrapManifestWriter)); err != nil {
 		r.reportFault(err)
-		return err
+		return fmt.Errorf("repo: writing snapshot manifest: %w", err)
 	}
-	if err := r.wal.Truncate(0); err != nil {
+	// Resetting the log also makes a poisoned one usable again.
+	if err := r.wal.Reset(); err != nil {
 		return fmt.Errorf("repo: resetting WAL for snapshot: %w", err)
 	}
-	if _, err := r.wal.Seek(0, 0); err != nil {
-		return fmt.Errorf("repo: resetting WAL for snapshot: %w", err)
-	}
-	r.walSize = 0
 	r.walSeq = man.WALSeq
-	r.walBad = false // the log is empty again and usable
 	r.sinceCkp = 0
 	r.tail = nil
 	r.tailStart = man.WALSeq + 1
@@ -262,9 +260,6 @@ func (r *Repo) ApplyFrame(line []byte) (seq int64, err error) {
 	if r.closed {
 		return 0, ErrClosed
 	}
-	if r.walBad {
-		return 0, ErrWAL
-	}
 	if rec.Seq <= r.walSeq {
 		return r.walSeq, nil // re-delivered frame: already applied
 	}
@@ -284,19 +279,11 @@ func (r *Repo) ApplyFrame(line []byte) (seq int64, err error) {
 	return rec.Seq, nil
 }
 
-// PutBlob stores data in the content-addressed blob store (fsync'd,
-// idempotent) and returns its address — the follower half of snapshot
-// bootstrap and frame application. Callers fetching by address should
-// verify the returned sum matches the one requested.
-func (r *Repo) PutBlob(data []byte) (string, error) {
-	return r.writeBlob(data)
-}
-
 // HasBlob reports whether a content address is resident locally.
 func (r *Repo) HasBlob(sha string) bool {
 	if len(sha) != 64 {
 		return false
 	}
-	_, err := os.Stat(blobPath(r.dir, sha))
+	_, err := os.Stat(r.blobs.Path(sha))
 	return err == nil
 }

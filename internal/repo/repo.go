@@ -41,6 +41,7 @@ import (
 	"github.com/go-ccts/ccts/internal/contentaddr"
 	"github.com/go-ccts/ccts/internal/core"
 	"github.com/go-ccts/ccts/internal/diff"
+	"github.com/go-ccts/ccts/internal/durable"
 	"github.com/go-ccts/ccts/internal/health"
 	"github.com/go-ccts/ccts/internal/limits"
 	"github.com/go-ccts/ccts/internal/metrics"
@@ -162,7 +163,8 @@ var (
 	// ErrClosed reports use after Close.
 	ErrClosed = errors.New("repo: closed")
 	// ErrWAL reports a write-ahead log this process could not repair
-	// after a failed append; reopen the repository to recover.
+	// after a failed append; a checkpoint, a snapshot install or
+	// reopening the repository recovers it.
 	ErrWAL = errors.New("repo: write-ahead log unusable; reopen the repository")
 )
 
@@ -298,13 +300,11 @@ type Repo struct {
 	// stateP is the lock-free read snapshot.
 	stateP atomic.Pointer[state]
 
-	// mu guards the WAL file, sequence numbers, checkpoint counter,
-	// the replication tail, the subject-lock table and the closed flag.
+	// mu guards the WAL, sequence numbers, checkpoint counter, the
+	// replication tail, the subject-lock table and the closed flag.
 	mu       sync.Mutex
-	wal      *os.File
+	wal      *durable.Log
 	walSeq   int64
-	walSize  int64
-	walBad   bool
 	sinceCkp int
 	closed   bool
 	subLocks map[string]*sync.Mutex
@@ -322,7 +322,9 @@ type Repo struct {
 	// (writer) gets exclusivity over the blob store.
 	gcMu sync.RWMutex
 
-	// blobMu serializes blob-store writes and the counters below.
+	// blobs is the content-addressed store; blobMu serializes its writes
+	// and the counters below.
+	blobs     durable.Blobs
 	blobMu    sync.Mutex
 	blobCount int64
 	blobBytes int64
@@ -349,12 +351,13 @@ func Open(dir string, cfg Config) (*Repo, error) {
 	if err := os.MkdirAll(filepath.Join(dir, blobDirName), 0o755); err != nil {
 		return nil, fmt.Errorf("repo: creating %s: %w", dir, err)
 	}
-	if err := removeTempFiles(dir); err != nil {
+	if err := durable.SweepTemp(dir); err != nil {
 		return nil, fmt.Errorf("repo: cleaning temp files: %w", err)
 	}
 
 	r := &Repo{
 		dir:             dir,
+		blobs:           durable.Blobs(filepath.Join(dir, blobDirName)),
 		defaultPolicy:   cfg.DefaultPolicy,
 		lim:             cfg.Limits.OrDefault(),
 		checkpointEvery: cfg.CheckpointEvery,
@@ -389,73 +392,33 @@ func Open(dir string, cfg Config) (*Repo, error) {
 		copy(versions, ms.Versions)
 		st.subjects[ms.Name] = &subjectState{name: ms.Name, policy: ms.Policy, versions: versions}
 	}
-	r.walSeq = man.WALSeq
-	r.tailStart = man.WALSeq + 1
-
-	walPath := filepath.Join(dir, walName)
-	wal, err := os.OpenFile(walPath, os.O_RDWR|os.O_CREATE, 0o644)
+	wal, replay, err := durable.OpenLog(filepath.Join(dir, walName), man.WALSeq, decodeRecord)
 	if err != nil {
-		return nil, fmt.Errorf("repo: opening WAL: %w", err)
+		return nil, fmt.Errorf("repo: recovering WAL: %w", err)
 	}
-	data, err := os.ReadFile(walPath)
-	if err != nil {
-		wal.Close()
-		return nil, fmt.Errorf("repo: reading WAL: %w", err)
-	}
-	recs, goodLen := scanWAL(data)
-	for _, rec := range recs {
-		if rec.Seq <= man.WALSeq {
-			// Already absorbed by the manifest (crash between a
-			// checkpoint and the WAL compaction that follows it).
-			continue
-		}
-		if rec.Seq != r.walSeq+1 {
-			// A gap against the manifest's checkpoint: records were
-			// lost; serve the checkpoint rather than a state with holes.
-			goodLen = 0
-			break
-		}
-		if err := st.apply(rec); err != nil {
+	for i, e := range replay {
+		if err := st.apply(e.Rec); err != nil {
 			wal.Close()
 			return nil, err
 		}
-		r.walSeq = rec.Seq
-		// Rebuild the replication tail from the replayed records.
-		// encodeRecord is deterministic, so the re-encoded frame is
-		// byte-identical to the one originally appended.
-		if line, err := encodeRecord(rec); err == nil {
-			r.tail = append(r.tail, line)
-			if len(r.tail) > r.replTail {
-				r.tail = r.tail[1:]
-				r.tailStart++
-			}
+		// The replication tail keeps the newest replayed frames as scanned.
+		if i >= len(replay)-r.replTail {
+			r.tail = append(r.tail, e.Frame)
 		}
 	}
-	if goodLen < len(data) {
-		// Torn or corrupt tail (crash mid-append): drop it so future
-		// appends start on a record boundary.
-		if err := wal.Truncate(int64(goodLen)); err != nil {
-			wal.Close()
-			return nil, fmt.Errorf("repo: truncating torn WAL tail: %w", err)
-		}
-	}
-	if _, err := wal.Seek(0, io.SeekEnd); err != nil {
-		wal.Close()
-		return nil, fmt.Errorf("repo: seeking WAL: %w", err)
-	}
+	r.walSeq = man.WALSeq + int64(len(replay))
+	r.tailStart = r.walSeq + 1 - int64(len(r.tail))
 	r.wal = wal
-	if goodLen < len(data) {
-		r.walSize = int64(goodLen)
-	} else {
-		r.walSize = int64(len(data))
-	}
 
-	count, bytes, err := scanBlobs(dir)
+	err = r.blobs.Walk(func(_ string, size int64) error {
+		r.blobCount++
+		r.blobBytes += size
+		return nil
+	})
 	if err != nil {
 		wal.Close()
 		return nil, fmt.Errorf("repo: scanning blob store: %w", err)
 	}
-	r.blobCount, r.blobBytes = count, bytes
 
 	r.stateP.Store(st)
 	return r, nil
@@ -630,18 +593,18 @@ func (r *Repo) Publish(req PublishRequest) (*Version, error) {
 	// Blob writes precede the WAL record that references them; each
 	// blob is fsync'd, so a durable record implies durable content.
 	var err error
-	if v.InputSHA256, err = r.writeBlob(canon); err != nil {
+	if v.InputSHA256, err = r.PutBlob(canon); err != nil {
 		return nil, err
 	}
 	for _, f := range req.Files {
-		sha, err := r.writeBlob(f.Data)
+		sha, err := r.PutBlob(f.Data)
 		if err != nil {
 			return nil, err
 		}
 		v.Files = append(v.Files, FileRef{Name: f.Name, SHA256: sha, Size: int64(len(f.Data))})
 	}
 	if len(req.Diagnostics) > 0 {
-		if v.DiagnosticsSHA256, err = r.writeBlob(req.Diagnostics); err != nil {
+		if v.DiagnosticsSHA256, err = r.PutBlob(req.Diagnostics); err != nil {
 			return nil, err
 		}
 		v.DiagnosticsSize = int64(len(req.Diagnostics))
@@ -796,17 +759,14 @@ func (r *Repo) Delete(subject string, number int) error {
 }
 
 // commit appends one record to the WAL (fsync'd) and only then swaps in
-// the new state snapshot. A failed append is rolled back by truncating
-// the WAL to its previous size; if even that fails the WAL is marked
-// unusable and every later mutation returns ErrWAL until reopen.
+// the new state snapshot. A failed append is rolled back; if even that
+// fails every later mutation returns ErrWAL until a checkpoint, a
+// snapshot install or a reopen empties the log.
 func (r *Repo) commit(rec *walRecord) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return ErrClosed
-	}
-	if r.walBad {
-		return ErrWAL
 	}
 	rec.Seq = r.walSeq + 1
 	line, err := encodeRecord(rec)
@@ -824,38 +784,21 @@ func (r *Repo) commit(rec *walRecord) error {
 }
 
 // commitLocked makes one already-validated frame durable and visible:
-// the line is appended to the WAL and fsync'd (rolled back by truncation
-// on failure; an unrollbackable log is marked unusable until reopen),
-// then the prepared state snapshot is published, the replication tail
-// advances and long-pollers are woken. Shared by local commits and
-// replicated ApplyFrame so both paths have identical durability.
-// r.mu held; seq must be r.walSeq+1 and next must already reflect the
-// frame.
+// the line is appended to the WAL and fsync'd (durable.Log.Append rolls
+// a failed append back), then the prepared state snapshot is published,
+// the replication tail advances and long-pollers are woken. Shared by
+// local commits and replicated ApplyFrame so both paths have identical
+// durability. r.mu held; seq must be r.walSeq+1 and next must already
+// reflect the frame.
 func (r *Repo) commitLocked(seq int64, line []byte, next *state) error {
-	var w io.Writer = r.wal
-	if wrap := r.walWrap(); wrap != nil {
-		w = wrap(r.wal)
-	}
-	if _, werr := w.Write(line); werr != nil {
-		if terr := r.wal.Truncate(r.walSize); terr != nil {
-			r.walBad = true
-		} else {
-			r.wal.Seek(r.walSize, 0)
+	if err := r.wal.Append(line, seam(r.fWAL, wrapWALWriter)); err != nil {
+		if errors.Is(err, durable.ErrBroken) {
+			return ErrWAL
 		}
-		r.reportFault(werr)
-		return fmt.Errorf("repo: appending WAL record: %w", werr)
-	}
-	if serr := r.wal.Sync(); serr != nil {
-		if terr := r.wal.Truncate(r.walSize); terr != nil {
-			r.walBad = true
-		} else {
-			r.wal.Seek(r.walSize, 0)
-		}
-		r.reportFault(serr)
-		return fmt.Errorf("repo: syncing WAL: %w", serr)
+		r.reportFault(err)
+		return fmt.Errorf("repo: %w", err)
 	}
 	r.walSeq = seq
-	r.walSize += int64(len(line))
 	r.stateP.Store(next)
 	r.appendTailLocked(line)
 
@@ -872,12 +815,10 @@ func (r *Repo) commitLocked(seq int64, line []byte, next *state) error {
 }
 
 // appendTailLocked records one committed frame in the replication tail
-// (trimmed to the retention cap) and wakes long-polling streams. r.mu
-// held.
+// (trimmed to the retention cap) and wakes long-polling streams. The
+// tail keeps line, which must not change afterwards. r.mu held.
 func (r *Repo) appendTailLocked(line []byte) {
-	cp := make([]byte, len(line))
-	copy(cp, line)
-	r.tail = append(r.tail, cp)
+	r.tail = append(r.tail, line)
 	if drop := len(r.tail) - r.replTail; drop > 0 {
 		kept := make([][]byte, len(r.tail)-drop)
 		copy(kept, r.tail[drop:])
@@ -890,27 +831,13 @@ func (r *Repo) appendTailLocked(line []byte) {
 	}
 }
 
-// walWrap resolves the WAL fault seam: the per-instance Config seam
-// wins, then the package-level test hook.
-func (r *Repo) walWrap() func(io.Writer) io.Writer {
-	if r.fWAL != nil {
-		return r.fWAL
+// seam resolves a fault seam: the per-instance Config seam wins, then
+// the package-level test hook.
+func seam(cfg, hook func(io.Writer) io.Writer) func(io.Writer) io.Writer {
+	if cfg != nil {
+		return cfg
 	}
-	return wrapWALWriter
-}
-
-func (r *Repo) manifestWrap() func(io.Writer) io.Writer {
-	if r.fManifest != nil {
-		return r.fManifest
-	}
-	return wrapManifestWriter
-}
-
-func (r *Repo) blobWrap() func(io.Writer) io.Writer {
-	if r.fBlob != nil {
-		return r.fBlob
-	}
-	return wrapBlobWriter
+	return hook
 }
 
 // Checkpoint compacts the log: the current state is written as the
@@ -955,45 +882,38 @@ func (r *Repo) checkpointLocked() error {
 	if err != nil {
 		return fmt.Errorf("repo: encoding manifest: %w", err)
 	}
-	if err := atomicWrite(r.dir, filepath.Join(r.dir, manifestName), data, r.manifestWrap()); err != nil {
+	if err := durable.WriteFile(manifestPath(r.dir), data, seam(r.fManifest, wrapManifestWriter)); err != nil {
 		r.reportFault(err)
-		return err
+		return fmt.Errorf("repo: writing manifest: %w", err)
 	}
 	// The manifest now covers every WAL record; empty the log. A crash
-	// before the truncate is safe: recovery skips records with
+	// before the reset is safe: recovery skips records with
 	// Seq <= manifest.WALSeq.
-	if err := r.wal.Truncate(0); err != nil {
+	if err := r.wal.Reset(); err != nil {
 		return fmt.Errorf("repo: compacting WAL: %w", err)
 	}
-	if _, err := r.wal.Seek(0, 0); err != nil {
-		return fmt.Errorf("repo: compacting WAL: %w", err)
-	}
-	r.walSize = 0
 	return nil
 }
 
-// writeBlob stores data under its content address (idempotent) and
-// returns the address. New blobs are fsync'd before the store's
-// counters advance.
-func (r *Repo) writeBlob(data []byte) (string, error) {
+// PutBlob stores data in the content-addressed blob store (fsync'd,
+// idempotent) and returns its address: the write half of Publish and
+// the follower half of snapshot bootstrap and frame application.
+// Callers fetching by address should verify the returned sum matches
+// the one requested. New blobs are durable before the store's counters
+// advance.
+func (r *Repo) PutBlob(data []byte) (string, error) {
 	sha := contentaddr.BlobSum(data)
-	path := blobPath(r.dir, sha)
 	r.blobMu.Lock()
 	defer r.blobMu.Unlock()
-	if _, err := os.Stat(path); err == nil {
-		return sha, nil // dedup: shared with an earlier version
-	}
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	created, err := r.blobs.Put(sha, data, seam(r.fBlob, wrapBlobWriter))
+	if err != nil {
 		r.reportFault(err)
-		return "", fmt.Errorf("repo: creating blob directory: %w", err)
+		return "", fmt.Errorf("repo: storing blob: %w", err)
 	}
-	if err := atomicWrite(dir, path, data, r.blobWrap()); err != nil {
-		r.reportFault(err)
-		return "", err
+	if created {
+		r.blobCount++
+		r.blobBytes += int64(len(data))
 	}
-	r.blobCount++
-	r.blobBytes += int64(len(data))
 	return sha, nil
 }
 
@@ -1003,7 +923,7 @@ func (r *Repo) Blob(sha string) ([]byte, error) {
 	if len(sha) != 64 {
 		return nil, fmt.Errorf("%w: blob %q", ErrNotFound, sha)
 	}
-	data, err := os.ReadFile(blobPath(r.dir, sha))
+	data, err := os.ReadFile(r.blobs.Path(sha))
 	if os.IsNotExist(err) {
 		return nil, fmt.Errorf("%w: blob %s", ErrNotFound, sha)
 	}
@@ -1191,38 +1111,23 @@ func (r *Repo) GC() (GCResult, error) {
 	}
 
 	var res GCResult
-	root := filepath.Join(r.dir, blobDirName)
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		return res, fmt.Errorf("repo: scanning blob store: %w", err)
-	}
 	r.blobMu.Lock()
 	defer r.blobMu.Unlock()
-	for _, fan := range entries {
-		if !fan.IsDir() {
-			continue
+	err := r.blobs.Walk(func(sha string, size int64) error {
+		if live[sha] {
+			return nil
 		}
-		fanDir := filepath.Join(root, fan.Name())
-		blobs, err := os.ReadDir(fanDir)
-		if err != nil {
-			return res, fmt.Errorf("repo: scanning blob store: %w", err)
+		if err := os.Remove(r.blobs.Path(sha)); err != nil {
+			return fmt.Errorf("removing blob %s: %w", sha, err)
 		}
-		for _, b := range blobs {
-			if live[b.Name()] {
-				continue
-			}
-			info, err := b.Info()
-			if err != nil {
-				continue
-			}
-			if err := os.Remove(filepath.Join(fanDir, b.Name())); err != nil {
-				return res, fmt.Errorf("repo: removing blob %s: %w", b.Name(), err)
-			}
-			res.Blobs++
-			res.Bytes += info.Size()
-			r.blobCount--
-			r.blobBytes -= info.Size()
-		}
+		res.Blobs++
+		res.Bytes += size
+		r.blobCount--
+		r.blobBytes -= size
+		return nil
+	})
+	if err != nil {
+		return res, fmt.Errorf("repo: collecting blobs: %w", err)
 	}
 	r.syncMetricsAfterGC()
 	return res, nil

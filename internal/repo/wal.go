@@ -1,34 +1,34 @@
 package repo
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
+
+	"github.com/go-ccts/ccts/internal/durable"
 )
 
-// On-disk layout under the repository directory:
+// On-disk layout under the repository directory, written through the
+// internal/durable kernel:
 //
-//	manifest.json          compacted snapshot of all subjects (atomic
-//	                       temp-file+rename, fsync'd)
+//	manifest.json          compacted snapshot of all subjects
+//	                       (durable.WriteFile)
 //	wal.log                append-only records since the manifest's
-//	                       checkpoint, one CRC-framed JSON line each
+//	                       checkpoint, one JSON payload per frame
+//	                       (durable.Log)
 //	blobs/<p>/<sha256>     content-addressed artifact store (p = first
 //	                       two hex digits); schemas, diagnostics and
 //	                       canonicalized inputs, shared across versions
+//	                       (durable.Blobs)
 //
 // Every record and the manifest are fsync'd before the in-memory state
 // advances, so a publish that returned success survives a crash. A
-// crash mid-append leaves a torn tail in wal.log; recovery stops at the
-// first record that is unterminated, fails its CRC, breaks JSON or
-// breaks sequence-number continuity, truncates the log there and serves
-// exactly the preceding fully committed records.
+// crash mid-append leaves a torn tail in wal.log; recovery keeps the
+// longest valid prefix (complete, CRC-verified frames whose records
+// decode with contiguous sequence numbers) under durable.OpenLog's
+// watermark rule and serves exactly those fully committed records.
 
 const (
 	manifestName = "manifest.json"
@@ -70,81 +70,48 @@ var (
 	wrapBlobWriter     func(io.Writer) io.Writer
 )
 
-// encodeRecord frames rec as "crc32(payload) payload\n".
+// encodeRecord frames rec as one WAL line (durable.AppendFrame).
 func encodeRecord(rec *walRecord) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return nil, fmt.Errorf("repo: encoding WAL record: %w", err)
 	}
-	line := make([]byte, 0, len(payload)+10)
-	line = append(line, fmt.Sprintf("%08x ", crc32.ChecksumIEEE(payload))...)
-	line = append(line, payload...)
-	line = append(line, '\n')
-	return line, nil
+	return durable.AppendFrame(make([]byte, 0, len(payload)+10), payload), nil
 }
 
-// scanWAL decodes the longest valid prefix of a WAL image. It returns
-// the decoded records and the byte length of that prefix; everything
-// after it is a torn or corrupt tail the caller should truncate away.
-// Records must carry contiguous sequence numbers: a gap or repeat ends
-// the valid prefix at the previous record.
-func scanWAL(data []byte) (recs []*walRecord, goodLen int) {
-	off := 0
-	var lastSeq int64 = -1
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // unterminated tail
-		}
-		line := data[off : off+nl]
-		rec, ok := decodeLine(line)
-		if !ok {
-			break
-		}
-		if lastSeq >= 0 && rec.Seq != lastSeq+1 {
-			break
-		}
-		lastSeq = rec.Seq
-		recs = append(recs, rec)
-		off += nl + 1
-		goodLen = off
-	}
-	return recs, goodLen
-}
-
-// decodeLine parses one "crc payload" frame.
+// decodeLine parses one WAL line given without its newline.
 func decodeLine(line []byte) (*walRecord, bool) {
-	if len(line) < 10 || line[8] != ' ' {
+	payload, ok := durable.ParseFrame(line)
+	if !ok {
 		return nil, false
 	}
-	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
-	if err != nil {
-		return nil, false
-	}
-	payload := line[9:]
-	if crc32.ChecksumIEEE(payload) != uint32(want) {
-		return nil, false
-	}
+	rec, _, ok := decodeRecord(payload)
+	return rec, ok
+}
+
+// decodeRecord parses one frame payload, validating the fields a record
+// of its operation must carry.
+func decodeRecord(payload []byte) (*walRecord, int64, bool) {
 	rec := &walRecord{}
 	if err := json.Unmarshal(payload, rec); err != nil {
-		return nil, false
+		return nil, 0, false
 	}
 	if rec.Seq <= 0 || rec.Subject == "" {
-		return nil, false
+		return nil, 0, false
 	}
 	switch rec.Op {
 	case opPublish:
 		if rec.Version == nil {
-			return nil, false
+			return nil, 0, false
 		}
 	case opDelete:
 		if rec.Number <= 0 {
-			return nil, false
+			return nil, 0, false
 		}
 	default:
-		return nil, false
+		return nil, 0, false
 	}
-	return rec, true
+	return rec, rec.Seq, true
 }
 
 // manifest is the compacted on-disk snapshot.
@@ -191,87 +158,4 @@ func readManifest(dir string) (*manifest, error) {
 		return nil, fmt.Errorf("repo: reading manifest: %w", err)
 	}
 	return parseManifest(data)
-}
-
-// atomicWrite writes data to path via an fsync'd temp file in the same
-// directory renamed into place — the same durability discipline as
-// ccts.WriteSchemas. wrap, when non-nil, interposes on the data stream
-// (fault injection).
-func atomicWrite(dir, path string, data []byte, wrap func(io.Writer) io.Writer) (err error) {
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("repo: creating temp file for %s: %w", path, err)
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	var out io.Writer = f
-	if wrap != nil {
-		out = wrap(out)
-	}
-	if _, err := out.Write(data); err != nil {
-		return fmt.Errorf("repo: writing %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("repo: syncing %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("repo: closing %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("repo: renaming %s into place: %w", path, err)
-	}
-	// Make the rename durable; best-effort because not every platform
-	// supports fsync on directories.
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// blobPath maps a content address to its file, fanned out over the
-// first two hex digits so one directory never holds every blob.
-func blobPath(dir, sha string) string {
-	return filepath.Join(dir, blobDirName, sha[:2], sha)
-}
-
-// removeTempFiles deletes abandoned *.tmp* files anywhere under dir — the
-// residue of a crash between CreateTemp and rename.
-func removeTempFiles(dir string) error {
-	return filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		if strings.Contains(d.Name(), ".tmp") {
-			return os.Remove(path)
-		}
-		return nil
-	})
-}
-
-// scanBlobs counts resident blobs and their bytes.
-func scanBlobs(dir string) (count, bytes int64, err error) {
-	root := filepath.Join(dir, blobDirName)
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		info, err := d.Info()
-		if err != nil {
-			return err
-		}
-		count++
-		bytes += info.Size()
-		return nil
-	})
-	if os.IsNotExist(err) {
-		err = nil
-	}
-	return count, bytes, err
 }

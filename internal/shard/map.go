@@ -4,8 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
+
+	"github.com/go-ccts/ccts/internal/durable"
 )
 
 // Shard is one primary in the cluster: a stable ID (what the ring
@@ -209,40 +210,12 @@ func LoadMap(path string) (*Map, error) {
 	return m, nil
 }
 
-// SaveMap durably writes the map: temp file, fsync, rename, directory
-// sync — the same atomic-write discipline the repository uses for its
-// manifest, so a crash leaves either the old map or the new one, never
-// a torn document.
+// SaveMap durably writes the map with durable.WriteFile, so a crash
+// leaves either the old map or the new one, never a torn document.
 func SaveMap(path string, m *Map) error {
 	data, err := m.Encode()
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".shardmap-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return durable.WriteFile(path, data, nil)
 }

@@ -1,15 +1,13 @@
 package ccts
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
 	"github.com/go-ccts/ccts/internal/backends"
+	"github.com/go-ccts/ccts/internal/durable"
 	"github.com/go-ccts/ccts/internal/gen"
 )
 
@@ -93,9 +91,10 @@ func GenerateTargetDocumentContext(ctx context.Context, lib *Library, rootABIE, 
 }
 
 // WriteOutput writes every generated file into dir, creating it if
-// needed, and returns the written paths in generation order. Files are
-// written with the same crash-safe temp-and-rename discipline as
-// WriteSchemas.
+// needed, and returns the written paths in generation order. Each file
+// is written with durable.WriteFile: a temp file in dir, fsynced and
+// renamed into place, then the directory fsynced. A failure removes the
+// temp file and names the file; files written before it stay intact.
 func WriteOutput(out *GenOutput, dir string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ccts: %w", err)
@@ -103,53 +102,10 @@ func WriteOutput(out *GenOutput, dir string) ([]string, error) {
 	var paths []string
 	for _, f := range out.Files {
 		path := filepath.Join(dir, f.Name)
-		if err := writeBytesAtomic(f.Data, dir, path); err != nil {
-			return nil, err
+		if err := durable.WriteFile(path, f.Data, wrapSchemaWriter); err != nil {
+			return nil, fmt.Errorf("ccts: %w", err)
 		}
 		paths = append(paths, path)
 	}
 	return paths, nil
-}
-
-// writeBytesAtomic is writeSchemaAtomic for raw bytes: temp file in
-// dir, fsync, rename, best-effort directory sync, cleanup on failure.
-// It shares the wrapSchemaWriter fault-injection seam.
-func writeBytesAtomic(data []byte, dir, path string) (err error) {
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("ccts: creating temp file for %s: %w", path, err)
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	var out io.Writer = f
-	if wrapSchemaWriter != nil {
-		out = wrapSchemaWriter(out)
-	}
-	w := bufio.NewWriter(out)
-	if _, err := io.Copy(w, bytes.NewReader(data)); err != nil {
-		return fmt.Errorf("ccts: writing %s: %w", path, err)
-	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("ccts: writing %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("ccts: syncing %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("ccts: closing %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ccts: renaming %s into place: %w", path, err)
-	}
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }
