@@ -279,6 +279,43 @@ func BenchmarkXMIRoundTrip(b *testing.B) {
 	}
 }
 
+// benchXMIImport measures the hardened XMI import of one export, read
+// through the io.Reader entry point under the default limits.
+func benchXMIImport(b *testing.B, doc []byte) {
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ccts.ImportUMLXMI(bytes.NewReader(doc)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkXMIImport isolates the import half on the HoardingPermit
+// export.
+func BenchmarkXMIImport(b *testing.B) {
+	var buf bytes.Buffer
+	if err := ccts.ExportXMI(fixture.MustBuildHoardingPermit().Model, &buf); err != nil {
+		b.Fatal(err)
+	}
+	benchXMIImport(b, buf.Bytes())
+}
+
+// BenchmarkXMIImport300 is the import of a chained 300-ABIE synthetic
+// export (10 BBIEs each), built once.
+func BenchmarkXMIImport300(b *testing.B) {
+	m, _, err := fixture.BuildSynthetic(fixture.SyntheticSpec{ABIEs: 300, BBIEsPerABIE: 10, Chain: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ccts.ExportXMI(m, &buf); err != nil {
+		b.Fatal(err)
+	}
+	benchXMIImport(b, buf.Bytes())
+}
+
 // BenchmarkXMIExport isolates the export half.
 func BenchmarkXMIExport(b *testing.B) {
 	f := fixture.MustBuildHoardingPermit()

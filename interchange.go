@@ -74,47 +74,9 @@ func ImportXMIDiagnosticsWithLimits(r io.Reader, lim ImportLimits) (*UMLModel, *
 	um, diags, err := xmi.ImportWithOptions(r, xmi.ImportOptions{
 		Limits:          lim,
 		Lenient:         true,
-		StereotypeKnown: knownProfileStereotype,
+		StereotypeKnown: profile.KnownStereotype,
 	})
-	report := &validate.Report{}
-	for _, d := range diags {
-		report.Findings = append(report.Findings, validate.Finding{
-			Rule:     d.Rule,
-			Severity: validate.Error,
-			Element:  d.Element,
-			Message:  d.Message,
-			Line:     d.Line,
-			Col:      d.Col,
-		})
-	}
-	return um, report, err
-}
-
-// knownProfileStereotype reports whether a stereotype is one the UML
-// profile defines for the given element kind; the lenient importer flags
-// the rest as XMI-STEREO findings.
-func knownProfileStereotype(element, st string) bool {
-	switch element {
-	case "package":
-		return st == profile.StBusinessLibrary || profile.IsLibraryStereotype(st)
-	case "class":
-		switch st {
-		case profile.StACC, profile.StABIE, profile.StCDT, profile.StQDT, profile.StPRIM:
-			return true
-		}
-	case "enumeration":
-		return st == profile.StENUM
-	case "attribute":
-		switch st {
-		case profile.StBCC, profile.StBBIE, profile.StCON, profile.StSUP:
-			return true
-		}
-	case "association":
-		return st == profile.StASCC || st == profile.StASBIE
-	case "dependency":
-		return st == profile.StBasedOn
-	}
-	return false
+	return um, validate.ImportReport(diags), err
 }
 
 // ExportUMLXMI writes a UML model as XMI without extraction, for tooling

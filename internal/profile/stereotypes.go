@@ -50,6 +50,34 @@ const (
 	StCC      = "CC"
 )
 
+// KnownStereotype reports whether st is a stereotype the profile
+// defines for the given UML element kind ("package", "class",
+// "enumeration", "attribute", "association" or "dependency"); the
+// lenient XMI import reports the rest as XMI-STEREO findings.
+func KnownStereotype(element, st string) bool {
+	switch element {
+	case "package":
+		return st == StBusinessLibrary || IsLibraryStereotype(st)
+	case "class":
+		switch st {
+		case StACC, StABIE, StCDT, StQDT, StPRIM:
+			return true
+		}
+	case "enumeration":
+		return st == StENUM
+	case "attribute":
+		switch st {
+		case StBCC, StBBIE, StCON, StSUP:
+			return true
+		}
+	case "association":
+		return st == StASCC || st == StASBIE
+	case "dependency":
+		return st == StBasedOn
+	}
+	return false
+}
+
 // ManagementStereotypes lists the 8 library stereotypes.
 var ManagementStereotypes = []string{
 	StBIELibrary, StBusinessLibrary, StCCLibrary, StCDTLibrary,

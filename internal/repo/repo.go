@@ -27,7 +27,6 @@
 package repo
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -663,7 +662,7 @@ func (r *Repo) compatReport(subject string, prev *Version, canon []byte, newMode
 
 // importModel runs the hardened XMI import and profile extraction.
 func (r *Repo) importModel(data []byte) (*core.Model, error) {
-	um, _, err := xmi.ImportWithOptions(bytes.NewReader(data), xmi.ImportOptions{Limits: r.lim})
+	um, _, err := xmi.ImportBytes(data, xmi.ImportOptions{Limits: r.lim})
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ import (
 	"github.com/go-ccts/ccts/internal/core"
 	"github.com/go-ccts/ccts/internal/profile"
 	"github.com/go-ccts/ccts/internal/uml"
+	"github.com/go-ccts/ccts/internal/xmi"
 )
 
 // Severity ranks findings.
@@ -49,6 +50,23 @@ type Finding struct {
 	// source position, e.g. semantic rules over an in-memory model).
 	Line int
 	Col  int
+}
+
+// ImportReport turns the diagnostics of a lenient XMI import into
+// error findings that keep their source positions.
+func ImportReport(diags []xmi.Diagnostic) *Report {
+	report := &Report{}
+	for _, d := range diags {
+		report.Findings = append(report.Findings, Finding{
+			Rule:     d.Rule,
+			Severity: Error,
+			Element:  d.Element,
+			Message:  d.Message,
+			Line:     d.Line,
+			Col:      d.Col,
+		})
+	}
+	return report
 }
 
 // String renders the finding for reports.

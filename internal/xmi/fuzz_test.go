@@ -1,31 +1,30 @@
-package xmi
+package xmi_test
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/go-ccts/ccts/internal/fixture"
 	"github.com/go-ccts/ccts/internal/profile"
+	. "github.com/go-ccts/ccts/internal/xmi"
 )
 
-// FuzzImport checks that arbitrary input never panics the importer and
-// that successfully imported models re-export canonically.
+// FuzzImport checks that arbitrary input never panics the importer,
+// that the scanner agrees with the encoding/xml oracle in strict and
+// lenient mode under default and tight limits, and that successfully
+// imported models re-export canonically.
 func FuzzImport(f *testing.F) {
 	hp := fixture.MustBuildHoardingPermit()
 	f.Add(ExportString(profile.Render(hp.Model)))
 	fig1 := fixture.MustBuildFigure1()
 	f.Add(ExportString(profile.Render(fig1.Model)))
-	f.Add(`<xmi:XMI xmlns:xmi="http://schema.omg.org/spec/XMI/2.1" xmlns:uml="http://schema.omg.org/spec/UML/2.1"><uml:Model xmi:id="m" name="X"></uml:Model></xmi:XMI>`)
-	f.Add(`<broken`)
-	f.Add("")
-	// Limit-edge seeds: nesting beyond the default depth limit, an
-	// attribute value past the default token-length limit, and the DTD /
-	// entity declarations the hardened decoder rejects outright.
-	f.Add(strings.Repeat("<a>", 200) + strings.Repeat("</a>", 200))
-	f.Add(`<a b="` + strings.Repeat("x", 1<<20+1) + `"/>`)
-	f.Add(`<!DOCTYPE foo [<!ENTITY bomb "x">]><xmi:XMI xmlns:xmi="http://schema.omg.org/spec/XMI/2.1">&bomb;</xmi:XMI>`)
-	f.Add(`<?xml version="1.0"?><!DOCTYPE lolz [<!ENTITY lol "lol"><!ENTITY lol2 "&lol;&lol;">]><lolz>&lol2;</lolz>`)
+	for _, seed := range differentialSeeds() {
+		f.Add(seed)
+	}
+	opts := differentialOptions()
 	f.Fuzz(func(t *testing.T, doc string) {
+		for _, o := range opts {
+			compareReaders(t, "fuzz input", []byte(doc), o)
+		}
 		m, err := ImportString(doc)
 		if err != nil {
 			return

@@ -1,0 +1,36 @@
+package xmi
+
+import (
+	"encoding/xml"
+	"strings"
+	"testing"
+	"unicode/utf8"
+)
+
+// TestNameTablesMatchEncodingXML checks isName against encoding/xml for
+// every non-ASCII character of the Basic Multilingual Plane and a few
+// beyond it, as the first character of a name and after one.
+func TestNameTablesMatchEncodingXML(t *testing.T) {
+	accepts := func(name string) bool {
+		_, err := xml.NewDecoder(strings.NewReader("<" + name + "/>")).Token()
+		return err == nil
+	}
+	check := func(r rune) {
+		if !utf8.ValidRune(r) {
+			return
+		}
+		c := string(r)
+		if got, want := isName([]byte(c)), accepts(c); got != want {
+			t.Errorf("%U first: isName = %v, encoding/xml accepts = %v", r, got, want)
+		}
+		if got, want := isName([]byte("a"+c)), accepts("a"+c); got != want {
+			t.Errorf("%U after a letter: isName = %v, encoding/xml accepts = %v", r, got, want)
+		}
+	}
+	for r := rune(utf8.RuneSelf); r <= 0xFFFF; r++ {
+		check(r)
+	}
+	for _, r := range []rune{0x10000, 0x1F600, 0xE0100, 0x10FFFF} {
+		check(r)
+	}
+}
