@@ -3,9 +3,11 @@
 // tools, so every parser runs behind configurable resource limits (input
 // size, element depth, element and attribute counts, token length) and
 // rejects DTD/entity declarations outright. Violations surface as
-// structured errors carrying the line:col position derived from the
-// decoder's input offset, so a validation engine can report them instead
-// of a worker hanging or exhausting memory.
+// structured errors carrying the line:col position where the limit was
+// crossed, so a validation engine can report them instead of a worker
+// hanging or exhausting memory. Decoder applies the limits to
+// encoding/xml for the XSD parser; the XMI importer's own scanner
+// applies them itself, at the same token boundaries.
 package limits
 
 import (
