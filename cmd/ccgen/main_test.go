@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -59,6 +60,113 @@ func TestGenerateDocumentCLI(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "HoardingPermitType") {
 		t.Error("doc schema content wrong")
+	}
+}
+
+// goldenDir holds the golden files the root package's tests pin.
+var goldenDir = filepath.Join("..", "..", "testdata", "golden")
+
+// documentGolden maps a file of the HoardingPermit document run to its
+// golden. The xsd goldens are annotated; the rng and rdfs goldens
+// predate per-target directories and carry their own names.
+func documentGolden(target, name string) string {
+	switch target {
+	case "xsd":
+		return filepath.Join(goldenDir, name)
+	case "rng":
+		return filepath.Join(goldenDir, "EB005-HoardingPermit.rng")
+	case "rdfs":
+		return filepath.Join(goldenDir, "EasyBiz.rdfs.xml")
+	case "go":
+		name += ".golden"
+	}
+	return filepath.Join(goldenDir, "hoardingpermit", target, name)
+}
+
+// libraryGolden maps a file of a library run to its golden.
+func libraryGolden(library string) func(target, name string) string {
+	return func(target, name string) string {
+		return filepath.Join(goldenDir, "libraries", library, target, name)
+	}
+}
+
+// TestEveryTargetMatchesGoldens runs every -target on the HoardingPermit
+// document and on a BIE and a CDT library run, and compares the written
+// files with the goldens byte for byte; a library run must write exactly
+// the files of its golden directory. The go target binds documents
+// only, so its library runs must fail without writing anything.
+func TestEveryTargetMatchesGoldens(t *testing.T) {
+	dir := t.TempDir()
+	model := writeSampleModel(t, dir)
+	runs := []struct {
+		library, root string
+		golden        func(target, name string) string
+	}{
+		{"EB005-HoardingPermit", "HoardingPermit", documentGolden},
+		{"CommonAggregates", "", libraryGolden("CommonAggregates")},
+		{"coredatatypes", "", libraryGolden("coredatatypes")},
+	}
+	for _, r := range runs {
+		for _, target := range ccts.Targets() {
+			t.Run(r.library+"/"+target, func(t *testing.T) {
+				out := filepath.Join(dir, r.library, target)
+				args := []string{"-model", model, "-library", r.library, "-target", target, "-out", out, "-quiet"}
+				if r.root != "" {
+					args = append(args, "-root", r.root)
+				}
+				if target == "xsd" && r.root != "" {
+					args = append(args, "-annotate")
+				}
+				err := run(args)
+				if target == "go" && r.root == "" {
+					if err == nil {
+						t.Error("go target accepted a library run")
+					}
+					if _, statErr := os.Stat(out); !os.IsNotExist(statErr) {
+						t.Errorf("failed run created output dir: %v", statErr)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				entries, err := os.ReadDir(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var written []string
+				for _, e := range entries {
+					written = append(written, e.Name())
+					got, err := os.ReadFile(filepath.Join(out, e.Name()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					path := r.golden(target, e.Name())
+					want, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if string(got) != string(want) {
+						t.Errorf("%s differs from %s", e.Name(), path)
+					}
+				}
+				if r.root != "" {
+					return
+				}
+				goldens, err := os.ReadDir(r.golden(target, ""))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []string
+				for _, e := range goldens {
+					want = append(want, e.Name())
+				}
+				sort.Strings(written)
+				if strings.Join(written, " ") != strings.Join(want, " ") {
+					t.Errorf("wrote %v, golden directory holds %v", written, want)
+				}
+			})
+		}
 	}
 }
 
