@@ -16,6 +16,13 @@
 //	report := ccts.ValidateModel(model)           // OCL + semantic rules
 //	res, _ := ccts.GenerateDocument(docLib, "HoardingPermit", ccts.GenerateOptions{})
 //	set, _ := ccts.CompileSchemas(res)            // instance validation
+//
+// Generation has two entry points over one plan. GenerateDocument
+// returns the typed XSD schema set that CompileSchemas needs;
+// GenerateTargetDocument returns the serialized files of any target
+// (xsd, jsonschema, proto, rng, rdfs, go). Both take any library kind:
+// the root ABIE is used for a DOCLibrary and ignored otherwise, and
+// GenerateOptions.Context cancels either.
 package ccts
 
 import (

@@ -150,18 +150,18 @@ func TestRelaxNGFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ccts.GenerateRelaxNGDocument(f.DOCLib, "HoardingPermit")
+	g, err := ccts.GenerateTargetDocument(f.DOCLib, "HoardingPermit", "rng", ccts.GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(g.String(), "relaxng.org/ns/structure") {
+	if !strings.Contains(string(g.Files[0].Data), "relaxng.org/ns/structure") {
 		t.Error("grammar namespace missing")
 	}
-	g2, err := ccts.GenerateRelaxNG(f.Common)
+	g2, err := ccts.GenerateTargetDocument(f.Common, "", "rng", ccts.GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g2.DefineNames()) == 0 {
+	if !strings.Contains(string(g2.Files[0].Data), "<define ") {
 		t.Error("library grammar empty")
 	}
 }
@@ -171,11 +171,11 @@ func TestRDFSchemaAndSampleFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := ccts.GenerateRDFSchema(f.Model)
+	doc, err := ccts.GenerateTargetDocument(f.DOCLib, "HoardingPermit", "rdfs", ccts.GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(doc, "rdfs:Class") {
+	if !strings.Contains(string(doc.Files[0].Data), "rdfs:Class") {
 		t.Error("RDF schema incomplete")
 	}
 	res, err := ccts.GenerateDocument(f.DOCLib, "HoardingPermit", ccts.GenerateOptions{})
@@ -235,11 +235,12 @@ func TestGoBindingsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := ccts.GenerateGoBindings(f.DOCLib, "HoardingPermit", ccts.GoBindingsOptions{Package: "hp"})
+	out, err := ccts.GenerateTargetDocument(f.DOCLib, "HoardingPermit", "go", ccts.GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(src, "package hp") || !strings.Contains(src, "type HoardingPermit struct") {
+	src := string(out.Files[0].Data)
+	if !strings.Contains(src, "package messages") || !strings.Contains(src, "type HoardingPermit struct") {
 		t.Error("bindings incomplete")
 	}
 }

@@ -10,12 +10,12 @@
 //	ccconsole unused model.xmi
 //	ccconsole update-ns model.xmi OLDPREFIX NEWPREFIX [-o out.xmi]
 //	ccconsole bump-version model.xmi VERSION [-o out.xmi]
-//	ccconsole relaxng model.xmi LIBRARY [ROOT]
-//	ccconsole rdfs model.xmi
 //	ccconsole sample model.xmi LIBRARY ROOT [minimal|full]
 //	ccconsole plantuml model.xmi [-hide-datatypes] [LIBRARY ...]
 //	ccconsole diff old.xmi new.xmi
-//	ccconsole gobindings model.xmi LIBRARY ROOT [PACKAGE]
+//
+// RELAX NG, RDF Schema and Go bindings are generation targets of ccgen:
+// ccgen -target rng|rdfs|go.
 package main
 
 import (
@@ -47,12 +47,11 @@ const usage = `usage: ccconsole COMMAND model.xmi ...
   unused model.xmi
   update-ns model.xmi OLD NEW [-o out.xmi]
   bump-version model.xmi VERSION [-o out.xmi]
-  relaxng model.xmi LIBRARY [ROOT]
-  rdfs model.xmi
   sample model.xmi LIBRARY ROOT [minimal|full]
   plantuml model.xmi [-hide-datatypes] [LIBRARY ...]
   diff old.xmi new.xmi
-  gobindings model.xmi LIBRARY ROOT [PACKAGE]
+
+RELAX NG, RDF Schema and Go bindings: ccgen -target rng|rdfs|go
 `
 
 func run(args []string, out io.Writer) error {
@@ -64,7 +63,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if len(args) < 2 {
-		return fmt.Errorf("usage: ccconsole stats|where-used|unused|update-ns|bump-version|relaxng model.xmi ...")
+		return fmt.Errorf("usage: ccconsole stats|where-used|unused|update-ns|bump-version|sample|plantuml|diff model.xmi ...")
 	}
 	cmd, path := args[0], args[1]
 	model, err := loadModel(path)
@@ -120,48 +119,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "updated %d librar(ies)\n", n)
 		return saveModel(model, target, path)
 
-	case "relaxng":
-		if len(rest) < 1 {
-			return fmt.Errorf("usage: ccconsole relaxng model.xmi LIBRARY [ROOT]")
-		}
-		lib := model.FindLibrary(rest[0])
-		if lib == nil {
-			return fmt.Errorf("model has no library %q", rest[0])
-		}
-		var g *ccts.RelaxNGGrammar
-		if lib.Kind == ccts.KindDOCLibrary {
-			if len(rest) != 2 {
-				return fmt.Errorf("DOCLibrary %q needs a root ABIE", lib.Name)
-			}
-			g, err = ccts.GenerateRelaxNGDocument(lib, rest[1])
-		} else {
-			g, err = ccts.GenerateRelaxNG(lib)
-		}
-		if err != nil {
-			return err
-		}
-		_, err = io.WriteString(out, g.String())
-		return err
-
-	case "gobindings":
-		if len(rest) < 2 {
-			return fmt.Errorf("usage: ccconsole gobindings model.xmi LIBRARY ROOT [PACKAGE]")
-		}
-		lib := model.FindLibrary(rest[0])
-		if lib == nil {
-			return fmt.Errorf("model has no library %q", rest[0])
-		}
-		pkg := "messages"
-		if len(rest) == 3 {
-			pkg = rest[2]
-		}
-		src, err := ccts.GenerateGoBindings(lib, rest[1], ccts.GoBindingsOptions{Package: pkg})
-		if err != nil {
-			return err
-		}
-		_, err = io.WriteString(out, src)
-		return err
-
 	case "diff":
 		if len(rest) != 1 {
 			return fmt.Errorf("usage: ccconsole diff old.xmi new.xmi")
@@ -187,14 +144,6 @@ func run(args []string, out io.Writer) error {
 			opts.Libraries = append(opts.Libraries, a)
 		}
 		_, err = io.WriteString(out, ccts.RenderDiagram(model, opts))
-		return err
-
-	case "rdfs":
-		doc, err := ccts.GenerateRDFSchema(model)
-		if err != nil {
-			return err
-		}
-		_, err = io.WriteString(out, doc)
 		return err
 
 	case "sample":

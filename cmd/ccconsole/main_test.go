@@ -103,24 +103,6 @@ func TestUpdateNamespaceAndBump(t *testing.T) {
 	}
 }
 
-func TestRelaxNG(t *testing.T) {
-	model := sampleXMI(t, t.TempDir())
-	var buf bytes.Buffer
-	if err := run([]string{"relaxng", model, "EB005-HoardingPermit", "HoardingPermit"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `<grammar xmlns="http://relaxng.org/ns/structure/1.0"`) {
-		t.Errorf("relaxng output = %q", buf.String()[:100])
-	}
-	buf.Reset()
-	if err := run([]string{"relaxng", model, "CommonAggregates"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Person_IdentificationType") {
-		t.Error("BIE library grammar incomplete")
-	}
-}
-
 func TestPlantUML(t *testing.T) {
 	model := sampleXMI(t, t.TempDir())
 	var buf bytes.Buffer
@@ -142,16 +124,9 @@ func TestPlantUML(t *testing.T) {
 	}
 }
 
-func TestRDFSAndSample(t *testing.T) {
+func TestSample(t *testing.T) {
 	model := sampleXMI(t, t.TempDir())
 	var buf bytes.Buffer
-	if err := run([]string{"rdfs", model}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "<rdf:RDF") {
-		t.Error("rdfs output wrong")
-	}
-	buf.Reset()
 	if err := run([]string{"sample", model, "EB005-HoardingPermit", "HoardingPermit", "full"}, &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -171,28 +146,6 @@ func TestRDFSAndSample(t *testing.T) {
 		{"sample", model, "NoLib", "X"},
 		{"sample", model, "EB005-HoardingPermit", "HoardingPermit", "bogus"},
 		{"sample", model, "EB005-HoardingPermit", "Nope"},
-	} {
-		if err := run(args, &buf); err == nil {
-			t.Errorf("%v should fail", args)
-		}
-	}
-}
-
-func TestGoBindings(t *testing.T) {
-	model := sampleXMI(t, t.TempDir())
-	var buf bytes.Buffer
-	if err := run([]string{"gobindings", model, "EB005-HoardingPermit", "HoardingPermit", "hp"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "package hp") || !strings.Contains(out, "type HoardingPermit struct") {
-		t.Errorf("gobindings output wrong:\n%.300s", out)
-	}
-	for _, args := range [][]string{
-		{"gobindings", model},
-		{"gobindings", model, "NoLib", "X"},
-		{"gobindings", model, "EB005-HoardingPermit", "Nope"},
-		{"gobindings", model, "CommonAggregates", "Address"},
 	} {
 		if err := run(args, &buf); err == nil {
 			t.Errorf("%v should fail", args)
@@ -253,10 +206,10 @@ func TestConsoleErrors(t *testing.T) {
 		{"where-used", model},
 		{"update-ns", model, "only-one"},
 		{"bump-version", model},
-		{"relaxng", model},
-		{"relaxng", model, "NoSuchLib"},
-		{"relaxng", model, "EB005-HoardingPermit"},         // DOC without root
-		{"relaxng", model, "EB005-HoardingPermit", "Nope"}, // bad root
+		// Retired in favour of ccgen -target rng|rdfs|go.
+		{"relaxng", model, "EB005-HoardingPermit", "HoardingPermit"},
+		{"rdfs", model},
+		{"gobindings", model, "EB005-HoardingPermit", "HoardingPermit"},
 	}
 	for i, args := range cases {
 		if err := run(args, &buf); err == nil {

@@ -100,7 +100,7 @@ func run(args []string) error {
 		return fmt.Errorf("model has no library %q", *library)
 	}
 
-	opts := ccts.GenerateOptions{Annotate: *annotate, Parallelism: *parallel, Index: index}
+	opts := ccts.GenerateOptions{Annotate: *annotate, Parallelism: *parallel, Index: index, Context: ctx}
 	if *profile != "" {
 		data, err := os.ReadFile(*profile)
 		if err != nil {
@@ -123,19 +123,7 @@ func run(args []string) error {
 		opts.Status = func(msg string) { fmt.Fprintln(os.Stderr, "..", msg) }
 	}
 
-	var output *ccts.GenOutput
-	if lib.Kind == ccts.KindDOCLibrary {
-		if opts.Profile.RootOr(*root) == "" {
-			var roots []string
-			for _, abie := range lib.ABIEs {
-				roots = append(roots, abie.Name)
-			}
-			return fmt.Errorf("DOCLibrary %q requires -root (or a profile root); available: %v", lib.Name, roots)
-		}
-		output, err = ccts.GenerateTargetDocumentContext(ctx, lib, *root, *target, opts)
-	} else {
-		output, err = ccts.GenerateTargetContext(ctx, lib, *target, opts)
-	}
+	output, err := ccts.GenerateTargetDocument(lib, *root, *target, opts)
 	if err != nil {
 		return err
 	}

@@ -189,31 +189,18 @@ func runPipeline(path string, p *pipelineFlags) (input []byte, model *ccts.Model
 	default:
 		return nil, nil, nil, nil, "", fmt.Errorf("unknown -style %q (want shared or composite)", p.style)
 	}
-	var res *ccts.GenerateResult
-	if lib.Kind == ccts.KindDOCLibrary {
-		if p.root == "" {
-			return nil, nil, nil, nil, "", fmt.Errorf("DOCLibrary %q requires -root", p.library)
-		}
-		res, err = ccts.GenerateDocument(lib, p.root, opts)
-	} else {
-		res, err = ccts.Generate(lib, opts)
-	}
+	out, err := ccts.GenerateTargetDocument(lib, p.root, "xsd", opts)
 	if err != nil {
 		return nil, nil, nil, nil, "", err
 	}
-
-	for _, name := range res.Order {
-		var buf bytes.Buffer
-		if err := res.Schemas[name].Write(&buf); err != nil {
-			return nil, nil, nil, nil, "", fmt.Errorf("serializing %s: %w", name, err)
-		}
-		files = append(files, repo.File{Name: name, Data: buf.Bytes()})
+	for _, f := range out.Files {
+		files = append(files, repo.File{Name: f.Name, Data: f.Data})
 	}
-	diags, err = diagnosticsJSON(res.RootElement, report.Findings)
+	diags, err = diagnosticsJSON(out.RootElement, report.Findings)
 	if err != nil {
 		return nil, nil, nil, nil, "", err
 	}
-	return input, model, files, diags, res.RootElement, nil
+	return input, model, files, diags, out.RootElement, nil
 }
 
 func diagnosticsJSON(rootElement string, findings []validate.Finding) ([]byte, error) {

@@ -56,8 +56,9 @@ func ExampleDeriveABIE() {
 	// US_Address.Street (BBIE)
 }
 
-// ExampleGenerate shows schema generation for a BIE library.
-func ExampleGenerate() {
+// ExampleGenerateDocument shows schema generation for a BIE library:
+// a library run needs no root ABIE.
+func ExampleGenerateDocument() {
 	model, ccLib, bieLib := buildSmallModel()
 	_ = model
 	address := ccLib.FindACC("Address")
@@ -68,7 +69,7 @@ func ExampleGenerate() {
 		log.Fatal(err)
 	}
 
-	res, err := ccts.Generate(bieLib, ccts.GenerateOptions{})
+	res, err := ccts.GenerateDocument(bieLib, "", ccts.GenerateOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

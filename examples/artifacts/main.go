@@ -59,22 +59,16 @@ func run() error {
 	}
 	fmt.Printf("wrote %d XSD schema(s)\n", len(res.Order))
 
-	// 2. RELAX NG grammar.
-	grammar, err := ccts.GenerateRelaxNGDocument(docLib, "Booking")
-	if err != nil {
-		return err
-	}
-	if err := write("Booking.rng", grammar.String()); err != nil {
-		return err
-	}
-
-	// 3. RDF Schema vocabulary.
-	rdf, err := ccts.GenerateRDFSchema(model)
-	if err != nil {
-		return err
-	}
-	if err := write("Booking.rdfs.xml", rdf); err != nil {
-		return err
+	// 2. RELAX NG grammar and 3. RDF Schema vocabulary: two more
+	// targets of the same transformation.
+	for _, t := range []struct{ target, name string }{{"rng", "Booking.rng"}, {"rdfs", "Booking.rdfs.xml"}} {
+		out, err := ccts.GenerateTargetDocument(docLib, "Booking", t.target, ccts.GenerateOptions{})
+		if err != nil {
+			return err
+		}
+		if err := write(t.name, string(out.Files[0].Data)); err != nil {
+			return err
+		}
 	}
 
 	// 4. PlantUML diagram.

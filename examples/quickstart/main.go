@@ -113,7 +113,7 @@ func run() error {
 	fmt.Println("\nModel validates cleanly.")
 
 	// Generate the schema for the BIE library and print it.
-	res, err := ccts.Generate(bieLib, ccts.GenerateOptions{})
+	res, err := ccts.GenerateDocument(bieLib, "", ccts.GenerateOptions{})
 	if err != nil {
 		return err
 	}

@@ -3,30 +3,9 @@ package ccts
 import (
 	"github.com/go-ccts/ccts/internal/diagram"
 	"github.com/go-ccts/ccts/internal/diff"
-	"github.com/go-ccts/ccts/internal/gogen"
 	"github.com/go-ccts/ccts/internal/instgen"
 	"github.com/go-ccts/ccts/internal/maintain"
-	"github.com/go-ccts/ccts/internal/rdfs"
-	"github.com/go-ccts/ccts/internal/rng"
 )
-
-// RELAX NG generation — the paper's named future extension ("future
-// extensions could include the generation of RELAX NG or RDF schemas").
-
-// RelaxNGGrammar is a generated RELAX NG grammar (XML syntax).
-type RelaxNGGrammar = rng.Grammar
-
-// GenerateRelaxNGDocument builds a RELAX NG grammar for a DOCLibrary
-// rooted at the named ABIE.
-func GenerateRelaxNGDocument(lib *Library, rootABIE string) (*RelaxNGGrammar, error) {
-	return rng.GenerateDocument(lib, rootABIE)
-}
-
-// GenerateRelaxNG builds a RELAX NG grammar covering a BIE, CDT, QDT or
-// ENUM library.
-func GenerateRelaxNG(lib *Library) (*RelaxNGGrammar, error) {
-	return rng.Generate(lib)
-}
 
 // DiagramOptions control PlantUML rendering.
 type DiagramOptions = diagram.Options
@@ -37,11 +16,6 @@ type DiagramOptions = diagram.Options
 func RenderDiagram(m *Model, opts DiagramOptions) string {
 	return diagram.Render(m, opts)
 }
-
-// GenerateRDFSchema renders the whole model as an RDF Schema vocabulary
-// (RDF/XML) — the other transfer syntax the paper names as a future
-// extension.
-func GenerateRDFSchema(m *Model) (string, error) { return rdfs.Generate(m) }
 
 // Sample instance generation.
 
@@ -106,16 +80,6 @@ func RenameACC(acc *ACC, newName string) error { return maintain.RenameACC(acc, 
 
 // CollectStats counts a model's elements.
 func CollectStats(m *Model) ModelStats { return maintain.Collect(m) }
-
-// GoBindingsOptions configure Go message-binding generation.
-type GoBindingsOptions = gogen.Options
-
-// GenerateGoBindings emits Go struct bindings for the document rooted at
-// the named ABIE — the paper's "transferred into code" step. Marshalled
-// values validate against the schema set generated from the same model.
-func GenerateGoBindings(lib *Library, rootABIE string, opts GoBindingsOptions) (string, error) {
-	return gogen.GenerateDocument(lib, rootABIE, opts)
-}
 
 // Model comparison for harmonisation rounds.
 type (

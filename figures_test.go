@@ -332,7 +332,7 @@ func TestFigure7Schema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ccts.Generate(f.Common, ccts.GenerateOptions{})
+	res, err := ccts.GenerateDocument(f.Common, "", ccts.GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestFigure8Schema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ccts.Generate(f.Catalog.CDTLibrary, ccts.GenerateOptions{})
+	res, err := ccts.GenerateDocument(f.Catalog.CDTLibrary, "", ccts.GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

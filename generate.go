@@ -2,7 +2,6 @@ package ccts
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -45,28 +44,15 @@ const (
 // PRIMLibrary (primitives map to XSD built-ins instead).
 var ErrPRIMLibrary = gen.ErrPRIMLibrary
 
-// GenerateDocument generates the schema set for a DOCLibrary starting at
-// the named root ABIE, plus all transitively imported library schemas.
+// GenerateDocument generates the typed XSD schema set of a library, the
+// form CompileSchemas and instance validation need; GenerateTargetDocument
+// returns serialized output for any target. A DOCLibrary run starts at
+// its root ABIE: rootABIE, or else opts.Profile.Root. Other kinds ignore
+// the root and generate every element of the library. The result holds
+// the requested library's schema first, then every transitively imported
+// one. opts.Context cancels the run.
 func GenerateDocument(lib *Library, rootABIE string, opts GenerateOptions) (*GenerateResult, error) {
 	return gen.GenerateDocument(lib, rootABIE, opts)
-}
-
-// Generate generates the schema set for a BIE, CDT, QDT or ENUM library.
-func Generate(lib *Library, opts GenerateOptions) (*GenerateResult, error) {
-	return gen.Generate(lib, opts)
-}
-
-// GenerateDocumentContext is GenerateDocument under a cancellation
-// context: both the plan walk and the emit workers observe ctx, so a
-// timeout or interrupt drains the run cleanly and surfaces as a wrapped
-// context error.
-func GenerateDocumentContext(ctx context.Context, lib *Library, rootABIE string, opts GenerateOptions) (*GenerateResult, error) {
-	return gen.GenerateDocumentContext(ctx, lib, rootABIE, opts)
-}
-
-// GenerateContext is Generate under a cancellation context.
-func GenerateContext(ctx context.Context, lib *Library, opts GenerateOptions) (*GenerateResult, error) {
-	return gen.GenerateContext(ctx, lib, opts)
 }
 
 // SchemaFileName returns the file name the generator uses for a

@@ -95,11 +95,11 @@ func TestGoldenRelaxNG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ccts.GenerateRelaxNGDocument(f.DOCLib, "HoardingPermit")
+	out, err := ccts.GenerateTargetDocument(f.DOCLib, "HoardingPermit", "rng", ccts.GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareGolden(t, filepath.Join("testdata", "golden", "EB005-HoardingPermit.rng"), g.String())
+	compareGolden(t, filepath.Join("testdata", "golden", "EB005-HoardingPermit.rng"), string(out.Files[0].Data))
 }
 
 // TestGoldenRDFS pins the RDF Schema vocabulary.
@@ -108,11 +108,11 @@ func TestGoldenRDFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := ccts.GenerateRDFSchema(f.Model)
+	out, err := ccts.GenerateTargetDocument(f.DOCLib, "HoardingPermit", "rdfs", ccts.GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareGolden(t, filepath.Join("testdata", "golden", "EasyBiz.rdfs.xml"), doc)
+	compareGolden(t, filepath.Join("testdata", "golden", "EasyBiz.rdfs.xml"), string(out.Files[0].Data))
 }
 
 // TestGoldenXMI pins the XMI export.

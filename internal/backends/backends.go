@@ -1,8 +1,9 @@
 // Package backends is the registry of generation backends: the single
-// place that knows every target the pipeline can emit. The CLI's
-// -target flag, the server's ?target= parameter and the public
-// ccts.GenerateTarget API all resolve targets here, so adding a
-// backend is one registration plus its package.
+// place that knows every target the pipeline can emit, and the only
+// importer of the backend packages. The CLI's -target flag, the
+// server's ?target= parameter and the public ccts.GenerateTargetDocument
+// entry point all resolve targets here, so adding a backend is one
+// registration plus its package.
 package backends
 
 import (

@@ -2,7 +2,6 @@ package gen
 
 import (
 	"fmt"
-	"runtime/debug"
 
 	"github.com/go-ccts/ccts/internal/core"
 )
@@ -69,8 +68,12 @@ type Backend interface {
 // panic isolation into OpError, errors.Join aggregation, clean
 // cancellation drain, and byte-identical output at any parallelism.
 func (p *Plan) ExecuteBackend(b Backend) (*Output, error) {
-	frags, err := executeGrid(p, func(u *Unit, j int) (Fragment, error) {
-		return p.safeBackendOp(b, u, j)
+	frags, err := executeGrid(p, func(u *Unit, op Op) (Fragment, error) {
+		frag, err := b.EmitOp(p, u, op)
+		if err != nil {
+			err = fmt.Errorf("gen: emitting %s of %s %q: %w", opLabel(op), u.lib.Kind, u.lib.Name, err)
+		}
+		return frag, err
 	})
 	if err != nil {
 		return nil, err
@@ -87,31 +90,6 @@ func (p *Plan) ExecuteBackend(b Backend) (*Output, error) {
 	}
 	p.sink.emitf("generated %d %s file(s)", len(out.Files), out.Target)
 	return out, nil
-}
-
-// safeBackendOp executes one backend operation with the same panic
-// isolation as the native XSD path.
-func (p *Plan) safeBackendOp(b Backend, u *Unit, j int) (frag Fragment, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			frag = nil
-			err = &OpError{
-				Library:   u.lib.Name,
-				Kind:      u.lib.Kind.String(),
-				Op:        opLabel(u.ops[j]),
-				Recovered: r,
-				Stack:     debug.Stack(),
-			}
-		}
-	}()
-	if testEmitFault != nil {
-		testEmitFault(u.lib, opLabel(u.ops[j]))
-	}
-	frag, err = b.EmitOp(p, u, u.ops[j])
-	if err != nil {
-		err = fmt.Errorf("gen: emitting %s of %s %q: %w", opLabel(u.ops[j]), u.lib.Kind, u.lib.Name, err)
-	}
-	return frag, err
 }
 
 // Units returns the plan's emission units in plan order. The slice and

@@ -65,13 +65,15 @@ func opLabel(op Op) string {
 // or block to prove panic isolation and clean cancellation drain.
 var testEmitFault func(lib *core.Library, op string)
 
-// safeOp executes one operation with panic isolation; a panicking
-// operation becomes a structured OpError instead of crashing the
-// process or wedging the pool.
-func (p *Plan) safeOp(u *Unit, j int) (out opOut, err error) {
+// safeOp runs operation j of a unit through run with panic isolation:
+// a panicking operation becomes a structured OpError instead of
+// crashing the process or wedging the pool. The native XSD path and
+// every backend run their operations through it.
+func safeOp[T any](u *Unit, j int, run func(*Unit, Op) (T, error)) (out T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &OpError{
+			var zero T
+			out, err = zero, &OpError{
 				Library:   u.lib.Name,
 				Kind:      u.lib.Kind.String(),
 				Op:        opLabel(u.ops[j]),
@@ -83,7 +85,7 @@ func (p *Plan) safeOp(u *Unit, j int) (out opOut, err error) {
 	if testEmitFault != nil {
 		testEmitFault(u.lib, opLabel(u.ops[j]))
 	}
-	return p.runOp(u, u.ops[j]), nil
+	return run(u, u.ops[j])
 }
 
 // Execute runs the emit phase: every operation of the plan is executed
@@ -99,18 +101,20 @@ func (p *Plan) safeOp(u *Unit, j int) (out opOut, err error) {
 // cancelled Options.Context stops workers claiming further operations,
 // drains the pool and returns the wrapped context error.
 func (p *Plan) Execute() (*Result, error) {
-	outs, err := executeGrid(p, p.safeOp)
+	outs, err := executeGrid(p, func(u *Unit, op Op) (opOut, error) {
+		return p.runOp(u, op), nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	return p.merge(outs)
 }
 
-// executeGrid runs every operation of the plan through run — already
-// panic-isolated — sequentially or on the bounded worker pool, and
-// returns the per-unit result grid in plan order. It is the shared
-// engine under Execute (native XSD) and ExecuteBackend.
-func executeGrid[T any](p *Plan, run func(u *Unit, j int) (T, error)) ([][]T, error) {
+// executeGrid runs every operation of the plan through run under
+// safeOp, sequentially or on the bounded worker pool, and returns the
+// per-unit result grid in plan order. It is the shared engine under
+// Execute (native XSD) and ExecuteBackend.
+func executeGrid[T any](p *Plan, run func(*Unit, Op) (T, error)) ([][]T, error) {
 	ctx := p.opts.ctx()
 	outs := make([][]T, len(p.units))
 	errs := make([][]error, len(p.units))
@@ -134,7 +138,7 @@ func executeGrid[T any](p *Plan, run func(u *Unit, j int) (T, error)) ([][]T, er
 					active.Dec()
 					return nil, fmt.Errorf("gen: emit cancelled: %w", ctx.Err())
 				}
-				outs[i][j], errs[i][j] = run(u, j)
+				outs[i][j], errs[i][j] = safeOp(u, j, run)
 				opsDone.Inc()
 			}
 			p.sink.emitf("emitted %d definition(s) for %s %s", len(u.ops), u.lib.Kind, u.lib.Name)
@@ -183,7 +187,7 @@ func (p *Plan) poolInstruments() (*metrics.Counter, *metrics.Gauge) {
 // completion through the serialized status sink. Workers observe the
 // context between operations, so cancellation drains the pool without
 // leaking goroutines or deadlocking the chunk counter.
-func executeParallel[T any](p *Plan, ctx context.Context, outs [][]T, errs [][]error, workers int, run func(u *Unit, j int) (T, error)) {
+func executeParallel[T any](p *Plan, ctx context.Context, outs [][]T, errs [][]error, workers int, run func(*Unit, Op) (T, error)) {
 	flat := make([]opRef, 0, p.totalOps)
 	remaining := make([]atomic.Int64, len(p.units))
 	for i, u := range p.units {
@@ -229,7 +233,7 @@ func executeParallel[T any](p *Plan, ctx context.Context, outs [][]T, errs [][]e
 						return
 					}
 					u := p.units[ref.unit]
-					outs[ref.unit][ref.op], errs[ref.unit][ref.op] = run(u, ref.op)
+					outs[ref.unit][ref.op], errs[ref.unit][ref.op] = safeOp(u, ref.op, run)
 					opsDone.Inc()
 					if remaining[ref.unit].Add(-1) == 0 {
 						p.sink.emitf("emitted %d definition(s) for %s %s", len(u.ops), u.lib.Kind, u.lib.Name)

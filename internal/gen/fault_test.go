@@ -103,7 +103,7 @@ func TestEmitCancelSequential(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	withEmitFault(t, func(lib *core.Library, op string) { cancel() })
-	_, err := GenerateDocumentContext(ctx, f.DOCLib, "HoardingPermit", Options{})
+	_, err := GenerateDocument(f.DOCLib, "HoardingPermit", Options{Context: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
@@ -131,7 +131,7 @@ func TestEmitCancelParallel(t *testing.T) {
 	})
 	done := make(chan error, 1)
 	go func() {
-		_, err := GenerateDocumentContext(ctx, f.DOCLib, "HoardingPermit", Options{Parallelism: 4})
+		_, err := GenerateDocument(f.DOCLib, "HoardingPermit", Options{Parallelism: 4, Context: ctx})
 		done <- err
 	}()
 	select {
@@ -159,7 +159,7 @@ func TestPlanCancelled(t *testing.T) {
 	f := buildFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := GenerateDocumentContext(ctx, f.DOCLib, "HoardingPermit", Options{})
+	_, err := GenerateDocument(f.DOCLib, "HoardingPermit", Options{Context: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -234,7 +235,7 @@ func TestFigure7AlternativeStyle(t *testing.T) {
 // TestFigure8CDTSchema checks the CodeType pattern of Figure 8.
 func TestFigure8CDTSchema(t *testing.T) {
 	f := buildFixture(t)
-	res, err := Generate(f.Catalog.CDTLibrary, Options{})
+	res, err := GenerateDocument(f.Catalog.CDTLibrary, "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestFigure8CDTSchema(t *testing.T) {
 
 func TestQDTSchema(t *testing.T) {
 	f := buildFixture(t)
-	res, err := Generate(f.QDTLib, Options{})
+	res, err := GenerateDocument(f.QDTLib, "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestQDTSchema(t *testing.T) {
 
 func TestENUMSchema(t *testing.T) {
 	f := buildFixture(t)
-	res, err := Generate(f.EnumLib, Options{})
+	res, err := GenerateDocument(f.EnumLib, "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +353,7 @@ func TestENUMSchema(t *testing.T) {
 
 func TestBIELibraryGeneration(t *testing.T) {
 	f := buildFixture(t)
-	res, err := Generate(f.Common, Options{})
+	res, err := GenerateDocument(f.Common, "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,27 +434,25 @@ func TestAnnotations(t *testing.T) {
 func TestGenerateErrors(t *testing.T) {
 	f := buildFixture(t)
 
-	if _, err := Generate(nil, Options{}); err == nil {
-		t.Error("nil library must fail")
-	}
 	if _, err := GenerateDocument(nil, "X", Options{}); err == nil {
 		t.Error("nil library must fail")
 	}
 	// PRIM libraries generate no schema.
-	if _, err := Generate(f.Catalog.PRIMLibrary, Options{}); err != ErrPRIMLibrary {
+	if _, err := GenerateDocument(f.Catalog.PRIMLibrary, "", Options{}); err != ErrPRIMLibrary {
 		t.Errorf("PRIM generation error = %v", err)
 	}
 	// CC libraries are conceptual.
-	if _, err := Generate(f.CCLib, Options{}); err == nil {
+	if _, err := GenerateDocument(f.CCLib, "", Options{}); err == nil {
 		t.Error("CCLibrary generation must fail")
 	}
-	// DOC libraries need GenerateDocument.
-	if _, err := Generate(f.DOCLib, Options{}); err == nil {
-		t.Error("Generate on DOCLibrary must fail")
+	// DOC libraries need a root; the error lists the candidates.
+	_, err := GenerateDocument(f.DOCLib, "", Options{})
+	if !errors.Is(err, ErrNoRoot) || !strings.Contains(err.Error(), "HoardingPermit") {
+		t.Errorf("DOCLibrary without a root: err = %v, want ErrNoRoot listing HoardingPermit", err)
 	}
-	// GenerateDocument needs a DOCLibrary.
-	if _, err := GenerateDocument(f.Common, "Address", Options{}); err == nil {
-		t.Error("GenerateDocument on BIELibrary must fail")
+	// Other kinds ignore the root.
+	if _, err := GenerateDocument(f.Common, "Nope", Options{}); err != nil {
+		t.Errorf("BIELibrary with a root: %v", err)
 	}
 	// Unknown root.
 	if _, err := GenerateDocument(f.DOCLib, "Nope", Options{}); err == nil {

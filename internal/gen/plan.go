@@ -119,20 +119,48 @@ func newPlanner(lib *core.Library, opts Options) *planner {
 	return pl
 }
 
-// PlanDocument builds the generation plan for a DOCLibrary, starting at
-// the named root ABIE. Generate/GenerateDocument wrap PlanDocument +
-// Execute; callers wanting to inspect or reuse the plan call it
-// directly.
-func PlanDocument(lib *core.Library, rootABIE string, opts Options) (*Plan, error) {
+// NewPlan builds the generation plan for a library; every generation
+// run, whatever its target, starts here. A DOCLibrary run starts at its
+// root ABIE: rootABIE, or else the profile's preselected root; without
+// either it fails with ErrNoRoot, listing the ABIEs to choose from.
+// Other kinds ignore the root: a BIE, CDT, QDT or ENUM library plans
+// all its elements, and a PRIMLibrary returns ErrPRIMLibrary.
+func NewPlan(lib *core.Library, rootABIE string, opts Options) (*Plan, error) {
 	if lib == nil {
 		return nil, errors.New("gen: nil library")
 	}
-	if lib.Kind != core.KindDOCLibrary {
-		return nil, fmt.Errorf("gen: GenerateDocument requires a DOCLibrary, got %s %q", lib.Kind, lib.Name)
+	if lib.Kind == core.KindDOCLibrary {
+		return planDocument(lib, opts.Profile.RootOr(rootABIE), opts)
 	}
+	pl := newPlanner(lib, opts)
+	pl.sink.emitf("generating schema for %s %s", lib.Kind, lib.Name)
+	switch lib.Kind {
+	case core.KindPRIMLibrary:
+		return nil, ErrPRIMLibrary
+	case core.KindCCLibrary:
+		return nil, fmt.Errorf("gen: CCLibrary %q: core components are conceptual; schemas are generated from business information entities", lib.Name)
+	case core.KindBIELibrary, core.KindCDTLibrary, core.KindQDTLibrary, core.KindENUMLibrary:
+		if err := pl.ensureLibrary(lib); err != nil {
+			return nil, err
+		}
+		return pl.finish(), nil
+	default:
+		return nil, fmt.Errorf("gen: unsupported library kind %v", lib.Kind)
+	}
+}
+
+// planDocument plans a DOCLibrary document from the named root ABIE.
+func planDocument(lib *core.Library, rootABIE string, opts Options) (*Plan, error) {
 	root := lib.FindABIE(rootABIE)
 	if root == nil {
-		return nil, fmt.Errorf("gen: DOCLibrary %q has no ABIE %q to use as root", lib.Name, rootABIE)
+		roots := make([]string, len(lib.ABIEs))
+		for i, abie := range lib.ABIEs {
+			roots[i] = abie.Name
+		}
+		if rootABIE == "" {
+			return nil, fmt.Errorf("%w: DOCLibrary %q needs one, given or preselected by the profile; available: %v", ErrNoRoot, lib.Name, roots)
+		}
+		return nil, fmt.Errorf("gen: DOCLibrary %q has no ABIE %q to use as root; available: %v", lib.Name, rootABIE, roots)
 	}
 	pl := newPlanner(lib, opts)
 	pl.sink.emitf("generating document schema for %s (root %s)", lib.Name, rootABIE)
@@ -145,32 +173,6 @@ func PlanDocument(lib *core.Library, rootABIE string, opts Options) (*Plan, erro
 	}
 	pl.plan.root = root
 	return pl.finish(), nil
-}
-
-// PlanLibrary builds the generation plan for a BIE, CDT, QDT or ENUM
-// library. PRIMLibraries return ErrPRIMLibrary; DOCLibraries must use
-// PlanDocument with a root element.
-func PlanLibrary(lib *core.Library, opts Options) (*Plan, error) {
-	if lib == nil {
-		return nil, errors.New("gen: nil library")
-	}
-	pl := newPlanner(lib, opts)
-	pl.sink.emitf("generating schema for %s %s", lib.Kind, lib.Name)
-	switch lib.Kind {
-	case core.KindPRIMLibrary:
-		return nil, ErrPRIMLibrary
-	case core.KindDOCLibrary:
-		return nil, fmt.Errorf("gen: DOCLibrary %q requires GenerateDocument with a root element", lib.Name)
-	case core.KindCCLibrary:
-		return nil, fmt.Errorf("gen: CCLibrary %q: core components are conceptual; schemas are generated from business information entities", lib.Name)
-	case core.KindBIELibrary, core.KindCDTLibrary, core.KindQDTLibrary, core.KindENUMLibrary:
-		if err := pl.ensureLibrary(lib); err != nil {
-			return nil, err
-		}
-		return pl.finish(), nil
-	default:
-		return nil, fmt.Errorf("gen: unsupported library kind %v", lib.Kind)
-	}
 }
 
 // finish snapshots the prefix assignments into the immutable plan.

@@ -1,7 +1,6 @@
 package gogen
 
 import (
-	"fmt"
 	"strings"
 
 	"github.com/go-ccts/ccts/internal/gen"
@@ -27,22 +26,13 @@ func (Backend) EmitOp(*gen.Plan, *gen.Unit, gen.Op) (gen.Fragment, error) { retu
 // Assemble implements gen.Backend: one self-contained Go file for the
 // document rooted at the plan's root ABIE.
 func (Backend) Assemble(p *gen.Plan, _ [][]gen.Fragment) (*gen.Output, error) {
-	units := p.Units()
-	if len(units) == 0 {
-		return nil, fmt.Errorf("gogen: empty plan")
-	}
-	root := p.Root()
-	if root == nil {
-		return nil, fmt.Errorf("gogen: the go target requires a DOCLibrary document run with a root element")
-	}
-	lib := units[0].Library()
-	code, err := GenerateDocument(lib, root.Name, Options{})
+	code, err := generate(p)
 	if err != nil {
 		return nil, err
 	}
-	name := strings.TrimSuffix(units[0].File(), ".xsd") + ".go"
+	name := strings.TrimSuffix(p.Units()[0].File(), ".xsd") + ".go"
 	return &gen.Output{
 		Files:       []gen.OutFile{{Name: name, Data: []byte(code)}},
-		RootElement: p.Index().ABIEElementName(root),
+		RootElement: p.Index().ABIEElementName(p.Root()),
 	}, nil
 }

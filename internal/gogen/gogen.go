@@ -20,39 +20,31 @@ import (
 	"strings"
 
 	"github.com/go-ccts/ccts/internal/core"
+	"github.com/go-ccts/ccts/internal/gen"
 	"github.com/go-ccts/ccts/internal/ndr"
 	"github.com/go-ccts/ccts/internal/uml"
 )
 
-// Options configure code generation.
-type Options struct {
-	// Package is the generated package name; default "messages".
-	Package string
-}
-
-// GenerateDocument emits Go binding code for the document rooted at the
-// named ABIE of a DOCLibrary.
-func GenerateDocument(lib *core.Library, rootABIE string, opts Options) (string, error) {
-	if lib == nil {
-		return "", fmt.Errorf("gogen: nil library")
-	}
-	if lib.Kind != core.KindDOCLibrary {
-		return "", fmt.Errorf("gogen: GenerateDocument requires a DOCLibrary, got %s %q", lib.Kind, lib.Name)
-	}
-	root := lib.FindABIE(rootABIE)
+// generate emits the Go bindings of a document plan, rooted at its
+// root ABIE, as package messages. Field tags carry each library's
+// effective namespace, profile rewrites applied, so marshalled values
+// land in the namespaces of the schemas generated from the same plan.
+func generate(p *gen.Plan) (string, error) {
+	root := p.Root()
 	if root == nil {
-		return "", fmt.Errorf("gogen: DOCLibrary %q has no ABIE %q", lib.Name, rootABIE)
+		return "", fmt.Errorf("gogen: the go target requires a DOCLibrary document run with a root element")
 	}
-	if opts.Package == "" {
-		opts.Package = "messages"
+	g := &generator{
+		ns:        p.Namespace,
+		usedNames: map[string]bool{},
+		typeName:  map[any]string{},
 	}
-	g := newGenerator()
 	rootType, err := g.abie(root)
 	if err != nil {
 		return "", err
 	}
 	g.markRoot(root, rootType)
-	return g.render(opts.Package), nil
+	return g.render(), nil
 }
 
 type typeDecl struct {
@@ -62,17 +54,11 @@ type typeDecl struct {
 }
 
 type generator struct {
+	ns        func(*core.Library) string
 	decls     []typeDecl
 	usedNames map[string]bool
 	typeName  map[any]string
 	consts    []string
-}
-
-func newGenerator() *generator {
-	return &generator{
-		usedNames: map[string]bool{},
-		typeName:  map[any]string{},
-	}
 }
 
 // uniqueName allocates a collision-free exported Go identifier.
@@ -139,7 +125,7 @@ func (g *generator) abie(abie *core.ABIE) (string, error) {
 		fields = append(fields, field(
 			goIdent(bbie.Name),
 			ft,
-			lib.BaseURN, ndr.XMLName(bbie.Name),
+			g.ns(lib), ndr.XMLName(bbie.Name),
 			bbie.Card,
 			bbie.DEN(),
 		))
@@ -153,7 +139,7 @@ func (g *generator) abie(abie *core.ABIE) (string, error) {
 		fields = append(fields, field(
 			goIdent(elementName),
 			tt,
-			lib.BaseURN, elementName,
+			g.ns(lib), elementName,
 			asbie.Card,
 			asbie.DEN(),
 		))
@@ -247,24 +233,23 @@ func (g *generator) enumConstants(typeName string, e *core.ENUM) {
 // markRoot attaches the XMLName field to the root struct so marshalled
 // documents carry the root element name.
 func (g *generator) markRoot(root *core.ABIE, rootType string) {
-	lib := root.Library()
 	for i := range g.decls {
 		if g.decls[i].name != rootType {
 			continue
 		}
 		insert := fmt.Sprintf("\t// XMLName fixes the root element name.\n\tXMLName xml.Name `xml:\"%s %s\"`\n",
-			lib.BaseURN, ndr.XMLName(root.Name))
+			g.ns(root.Library()), ndr.XMLName(root.Name))
 		g.decls[i].code = strings.Replace(g.decls[i].code, "struct {\n", "struct {\n"+insert, 1)
 		return
 	}
 }
 
 // render assembles the final source file, deterministically ordered.
-func (g *generator) render(pkg string) string {
+func (g *generator) render() string {
 	var b strings.Builder
 	b.WriteString("// Code generated by go-ccts gogen; DO NOT EDIT.\n")
 	b.WriteString("// Message bindings derived from a CCTS core components model.\n\n")
-	fmt.Fprintf(&b, "package %s\n\nimport \"encoding/xml\"\n\n", pkg)
+	b.WriteString("package messages\n\nimport \"encoding/xml\"\n\n")
 	// Keep generation order (root first, dependencies after) but make
 	// the enum constants stable.
 	for _, d := range g.decls {

@@ -7,11 +7,22 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/go-ccts/ccts/internal/core"
 	"github.com/go-ccts/ccts/internal/fixture"
 	"github.com/go-ccts/ccts/internal/gen"
 	"github.com/go-ccts/ccts/internal/xsd"
 	"github.com/go-ccts/ccts/internal/xsdval"
 )
+
+// bindings generates the Go bindings of lib's plan; root selects the
+// root ABIE of a DOCLibrary.
+func bindings(lib *core.Library, root string, opts gen.Options) (string, error) {
+	p, err := gen.NewPlan(lib, root, opts)
+	if err != nil {
+		return "", err
+	}
+	return generate(p)
+}
 
 func generated(t *testing.T) string {
 	t.Helper()
@@ -19,7 +30,7 @@ func generated(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := GenerateDocument(f.DOCLib, "HoardingPermit", Options{Package: "messages"})
+	src, err := bindings(f.DOCLib, "HoardingPermit", gen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +83,13 @@ func TestGenerateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GenerateDocument(nil, "X", Options{}); err == nil {
+	if _, err := bindings(nil, "X", gen.Options{}); err == nil {
 		t.Error("nil library must fail")
 	}
-	if _, err := GenerateDocument(f.Common, "Address", Options{}); err == nil {
+	if _, err := bindings(f.Common, "Address", gen.Options{}); err == nil {
 		t.Error("non-DOC library must fail")
 	}
-	if _, err := GenerateDocument(f.DOCLib, "Nope", Options{}); err == nil {
+	if _, err := bindings(f.DOCLib, "Nope", gen.Options{}); err == nil {
 		t.Error("unknown root must fail")
 	}
 }
@@ -102,8 +113,9 @@ func TestGoIdent(t *testing.T) {
 
 // TestCompileAndMarshalRoundTrip compiles the generated bindings with a
 // driver that marshals a message, runs it, and validates the output
-// against the XSD set generated from the same model — proving the
-// "transferred into code" claim end to end.
+// against the XSD set generated from the same model under the same
+// namespace-rewriting profile — proving the "transferred into code"
+// claim end to end.
 func TestCompileAndMarshalRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go toolchain")
@@ -112,10 +124,16 @@ func TestCompileAndMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := GenerateDocument(f.DOCLib, "HoardingPermit", Options{Package: "main"})
+	opts := gen.Options{Profile: &gen.Profile{Namespaces: map[string]string{
+		f.DOCLib.BaseURN: "urn:acme:permits:v2",
+		f.Common.BaseURN: "urn:acme:common:v2",
+	}}}
+	src, err := bindings(f.DOCLib, "HoardingPermit", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The bindings are package messages; the driver lives beside them.
+	src = strings.Replace(src, "package messages", "package main", 1)
 
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module bindingscheck\n\ngo 1.22\n"), 0o644); err != nil {
@@ -170,7 +188,7 @@ func main() {
 	}
 
 	// The marshalled message validates against the schema set.
-	res, err := gen.GenerateDocument(f.DOCLib, "HoardingPermit", gen.Options{})
+	res, err := gen.GenerateDocument(f.DOCLib, "HoardingPermit", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

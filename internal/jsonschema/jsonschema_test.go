@@ -15,7 +15,7 @@ func generateEUOrder(t *testing.T, opts gen.Options) *gen.Output {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := gen.PlanDocument(f.EUDocLib, "EU_Order", opts)
+	plan, err := gen.NewPlan(f.EUDocLib, "EU_Order", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ func generateEUOrder(t *testing.T) *gen.Output {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := gen.PlanDocument(f.EUDocLib, "EU_Order", gen.Options{})
+	plan, err := gen.NewPlan(f.EUDocLib, "EU_Order", gen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

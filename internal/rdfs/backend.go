@@ -27,20 +27,16 @@ func (Backend) EmitOp(*gen.Plan, *gen.Unit, gen.Op) (gen.Fragment, error) { retu
 // Assemble implements gen.Backend: one vocabulary document named after
 // the requested library.
 func (Backend) Assemble(p *gen.Plan, _ [][]gen.Fragment) (*gen.Output, error) {
-	units := p.Units()
-	if len(units) == 0 {
-		return nil, fmt.Errorf("rdfs: empty plan")
-	}
-	lib := units[0].Library()
-	m := lib.Model()
+	u := p.Units()[0]
+	m := u.Library().Model()
 	if m == nil {
-		return nil, fmt.Errorf("rdfs: library %q is not part of a model", lib.Name)
+		return nil, fmt.Errorf("rdfs: library %q is not part of a model", u.Library().Name)
 	}
-	doc, err := render(m)
+	doc, err := render(m, p.Namespace)
 	if err != nil {
 		return nil, err
 	}
-	name := strings.TrimSuffix(units[0].File(), ".xsd") + ".rdf"
+	name := strings.TrimSuffix(u.File(), ".xsd") + ".rdf"
 	out := &gen.Output{Files: []gen.OutFile{{Name: name, Data: doc}}}
 	if root := p.Root(); root != nil {
 		out.RootElement = p.Index().ABIEElementName(root)

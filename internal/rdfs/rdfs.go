@@ -34,12 +34,6 @@ const (
 	LiteralRange  = RDFSNamespace + "Literal"
 )
 
-// Generate renders the whole model as one RDF Schema document.
-func Generate(m *core.Model) (string, error) {
-	doc, err := render(m)
-	return string(doc), err
-}
-
 // termBytes sizes the document buffer before writing: the bytes of one
 // vocabulary term, URIs and label included. The fixture and synthetic
 // models use 250-330 bytes a term; the estimate sits near the top
@@ -47,8 +41,10 @@ func Generate(m *core.Model) (string, error) {
 // buffer on uncopied, slack included.
 const termBytes = 320
 
-// render renders the document into one buffer sized up front.
-func render(m *core.Model) ([]byte, error) {
+// render renders the whole model as one RDF Schema document, into one
+// buffer sized up front. ns gives each library's effective namespace,
+// the base of its resource URIs.
+func render(m *core.Model, ns func(*core.Library) string) ([]byte, error) {
 	terms := 0
 	for _, lib := range m.Libraries() {
 		for _, acc := range lib.ACCs {
@@ -62,7 +58,7 @@ func render(m *core.Model) ([]byte, error) {
 		}
 		terms += len(lib.CDTs) + len(lib.QDTs)
 	}
-	g := &generator{}
+	g := &generator{ns: ns}
 	g.b.Grow(terms * termBytes)
 	g.b.WriteString(`<?xml version="1.0" encoding="UTF-8"?>` + "\n")
 	g.b.WriteString(`<rdf:RDF xmlns:rdf="` + RDFNamespace + `" xmlns:rdfs="` + RDFSNamespace + "\">\n")
@@ -81,15 +77,15 @@ func render(m *core.Model) ([]byte, error) {
 			}
 		case core.KindCDTLibrary:
 			for _, cdt := range lib.CDTs {
-				g.datatype(uriFor(lib, cdt.Name), cdt.Name, cdt.Definition, "")
+				g.datatype(g.uri(lib, cdt.Name), cdt.Name, cdt.Definition, "")
 			}
 		case core.KindQDTLibrary:
 			for _, qdt := range lib.QDTs {
 				base := ""
 				if qdt.BasedOn != nil {
-					base = uriFor(qdt.BasedOn.DataTypeLibrary(), qdt.BasedOn.Name)
+					base = g.uri(qdt.BasedOn.DataTypeLibrary(), qdt.BasedOn.Name)
 				}
-				g.datatype(uriFor(lib, qdt.Name), qdt.Name, qdt.Definition, base)
+				g.datatype(g.uri(lib, qdt.Name), qdt.Name, qdt.Definition, base)
 			}
 		case core.KindENUMLibrary:
 			for _, e := range lib.ENUMs {
@@ -104,12 +100,13 @@ func render(m *core.Model) ([]byte, error) {
 }
 
 type generator struct {
-	b bytes.Buffer
+	b  bytes.Buffer
+	ns func(*core.Library) string
 }
 
-// uriFor mints the resource URI of an element.
-func uriFor(lib *core.Library, name string) string {
-	return lib.BaseURN + "#" + name
+// uri mints the resource URI of an element.
+func (g *generator) uri(lib *core.Library, name string) string {
+	return g.ns(lib) + "#" + name
 }
 
 // propertyName lowers the first rune of a property/role term:
@@ -170,54 +167,54 @@ func (g *generator) datatype(uri, label, comment, base string) {
 
 func (g *generator) acc(acc *core.ACC) {
 	lib := acc.Library()
-	classURI := uriFor(lib, acc.Name)
+	classURI := g.uri(lib, acc.Name)
 	g.class(classURI, acc.DEN(), acc.Definition, "")
 	for _, bcc := range acc.BCCs {
 		g.property(
-			uriFor(lib, acc.Name+"."+propertyName(bcc.Name)),
+			g.uri(lib, acc.Name+"."+propertyName(bcc.Name)),
 			bcc.DEN(),
 			classURI,
-			uriFor(bcc.Type.DataTypeLibrary(), bcc.Type.Name),
+			g.uri(bcc.Type.DataTypeLibrary(), bcc.Type.Name),
 		)
 	}
 	for _, ascc := range acc.ASCCs {
 		g.property(
-			uriFor(lib, acc.Name+"."+propertyName(ascc.Role)),
+			g.uri(lib, acc.Name+"."+propertyName(ascc.Role)),
 			ascc.DEN(),
 			classURI,
-			uriFor(ascc.Target.Library(), ascc.Target.Name),
+			g.uri(ascc.Target.Library(), ascc.Target.Name),
 		)
 	}
 }
 
 func (g *generator) abie(abie *core.ABIE) {
 	lib := abie.Library()
-	classURI := uriFor(lib, abie.Name)
+	classURI := g.uri(lib, abie.Name)
 	super := ""
 	if abie.BasedOn != nil {
-		super = uriFor(abie.BasedOn.Library(), abie.BasedOn.Name)
+		super = g.uri(abie.BasedOn.Library(), abie.BasedOn.Name)
 	}
 	g.class(classURI, abie.DEN(), abie.Definition, super)
 	for _, bbie := range abie.BBIEs {
 		g.property(
-			uriFor(lib, abie.Name+"."+propertyName(bbie.Name)),
+			g.uri(lib, abie.Name+"."+propertyName(bbie.Name)),
 			bbie.DEN(),
 			classURI,
-			uriFor(bbie.Type.DataTypeLibrary(), bbie.Type.TypeName()),
+			g.uri(bbie.Type.DataTypeLibrary(), bbie.Type.TypeName()),
 		)
 	}
 	for _, asbie := range abie.ASBIEs {
 		g.property(
-			uriFor(lib, abie.Name+"."+propertyName(asbie.Role)),
+			g.uri(lib, abie.Name+"."+propertyName(asbie.Role)),
 			asbie.DEN(),
 			classURI,
-			uriFor(asbie.Target.Library(), asbie.Target.Name),
+			g.uri(asbie.Target.Library(), asbie.Target.Name),
 		)
 	}
 }
 
 func (g *generator) enum(lib *core.Library, e *core.ENUM) {
-	classURI := uriFor(lib, e.Name)
+	classURI := g.uri(lib, e.Name)
 	g.class(classURI, e.Name, e.Definition, "")
 	for _, l := range e.Literals {
 		g.attr(`  <rdf:Description rdf:about="`, classURI+"."+l.Name, "\">\n")

@@ -10,13 +10,19 @@ import (
 	"github.com/go-ccts/ccts/internal/fixture"
 )
 
+// generateModel renders m under the modelled namespaces.
+func generateModel(m *core.Model) (string, error) {
+	doc, err := render(m, func(lib *core.Library) string { return lib.BaseURN })
+	return string(doc), err
+}
+
 func generate(t *testing.T) string {
 	t.Helper()
 	f, err := fixture.BuildHoardingPermit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Generate(f.Model)
+	out, err := generateModel(f.Model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +85,7 @@ func TestGenerateErrors(t *testing.T) {
 	m := core.NewModel("X")
 	biz := m.AddBusinessLibrary("B")
 	biz.AddLibrary(core.KindCCLibrary, "NoURN", "")
-	if _, err := Generate(m); err == nil {
+	if _, err := generateModel(m); err == nil {
 		t.Error("missing baseURN must fail")
 	}
 }
@@ -107,7 +113,7 @@ func TestEscaping(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc.Definition = `uses <angle> & "quotes"`
-	out, err := Generate(m)
+	out, err := generateModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +134,7 @@ func TestValuesReadBack(t *testing.T) {
 	f.Permit.Definition = def
 	f.Model.FindENUM("CountryType_Code").Literals[0].Value = label
 	f.DOCLib.BaseURN = urn
-	doc, err := Generate(f.Model)
+	doc, err := generateModel(f.Model)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package rng
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 
 	"github.com/go-ccts/ccts/internal/gen"
@@ -28,25 +27,15 @@ func (Backend) EmitOp(*gen.Plan, *gen.Unit, gen.Op) (gen.Fragment, error) { retu
 // Assemble implements gen.Backend: one self-contained grammar file
 // named after the requested library.
 func (Backend) Assemble(p *gen.Plan, _ [][]gen.Fragment) (*gen.Output, error) {
-	units := p.Units()
-	if len(units) == 0 {
-		return nil, fmt.Errorf("rng: empty plan")
-	}
-	lib := units[0].Library()
-	var g *Grammar
-	var err error
-	out := &gen.Output{}
-	if root := p.Root(); root != nil {
-		g, err = GenerateDocument(lib, root.Name)
-		out.RootElement = ndr.XMLName(root.Name)
-	} else {
-		g, err = Generate(lib)
-	}
+	g, err := generate(p)
 	if err != nil {
 		return nil, err
 	}
-	name := strings.TrimSuffix(units[0].File(), ".xsd") + ".rng"
+	name := strings.TrimSuffix(p.Units()[0].File(), ".xsd") + ".rng"
 	// Copy out of the grown buffer so a cached output holds no slack.
-	out.Files = []gen.OutFile{{Name: name, Data: bytes.Clone(g.bytes())}}
+	out := &gen.Output{Files: []gen.OutFile{{Name: name, Data: bytes.Clone(g.bytes())}}}
+	if root := p.Root(); root != nil {
+		out.RootElement = ndr.XMLName(root.Name)
+	}
 	return out, nil
 }

@@ -6,16 +6,40 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/go-ccts/ccts/internal/core"
 	"github.com/go-ccts/ccts/internal/fixture"
+	"github.com/go-ccts/ccts/internal/gen"
 )
 
-func docGrammar(t *testing.T) *Grammar {
+// grammarOf generates the grammar of lib's plan; root selects the root
+// ABIE of a DOCLibrary.
+func grammarOf(lib *core.Library, root string) (*grammar, error) {
+	p, err := gen.NewPlan(lib, root, gen.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return generate(p)
+}
+
+// String serialises the grammar for assertions.
+func (g *grammar) String() string { return string(g.bytes()) }
+
+// names lists the grammar's production names in order.
+func (g *grammar) names() []string {
+	out := make([]string, len(g.defines))
+	for i, d := range g.defines {
+		out[i] = d.name
+	}
+	return out
+}
+
+func docGrammar(t *testing.T) *grammar {
 	t.Helper()
 	f, err := fixture.BuildHoardingPermit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := GenerateDocument(f.DOCLib, "HoardingPermit")
+	g, err := grammarOf(f.DOCLib, "HoardingPermit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +100,7 @@ func TestGrammarIsWellFormedXML(t *testing.T) {
 func TestAllRefsResolve(t *testing.T) {
 	g := docGrammar(t)
 	defined := map[string]bool{}
-	for _, n := range g.DefineNames() {
+	for _, n := range g.names() {
 		defined[n] = true
 	}
 	// Collect every ref name from the serialised grammar.
@@ -99,7 +123,7 @@ func TestGenerateLibraries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// BIE library: one define per ABIE.
-	g, err := Generate(f.Common)
+	g, err := grammarOf(f.Common, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,37 +132,37 @@ func TestGenerateLibraries(t *testing.T) {
 		"commonAggregates.Person_IdentificationType",
 		"commonAggregates.ApplicationType", "commonAggregates.AttachmentType",
 	} {
-		if g.Define(want) == nil {
-			t.Errorf("missing define %q in %v", want, g.DefineNames())
+		if !g.byName[want] {
+			t.Errorf("missing define %q in %v", want, g.names())
 		}
 	}
 	// CDT library.
-	g2, err := Generate(f.Catalog.CDTLibrary)
+	g2, err := grammarOf(f.Catalog.CDTLibrary, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.Define("cdt1.CodeType") == nil {
-		t.Errorf("missing cdt1.CodeType in %v", g2.DefineNames())
+	if !g2.byName["cdt1.CodeType"] {
+		t.Errorf("missing cdt1.CodeType in %v", g2.names())
 	}
 	out := g2.String()
 	if !strings.Contains(out, `<data type="date"/>`) {
 		t.Error("Date CDT should map to the date datatype")
 	}
 	// QDT library pulls in the enums.
-	g3, err := Generate(f.QDTLib)
+	g3, err := grammarOf(f.QDTLib, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g3.Define("enum1.CouncilType_CodeType") == nil {
-		t.Errorf("QDT generation should emit enum defines: %v", g3.DefineNames())
+	if !g3.byName["enum1.CouncilType_CodeType"] {
+		t.Errorf("QDT generation should emit enum defines: %v", g3.names())
 	}
 	// ENUM library alone.
-	g4, err := Generate(f.EnumLib)
+	g4, err := grammarOf(f.EnumLib, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g4.DefineNames()) != 2 {
-		t.Errorf("enum defines = %v", g4.DefineNames())
+	if len(g4.names()) != 2 {
+		t.Errorf("enum defines = %v", g4.names())
 	}
 }
 
@@ -147,23 +171,17 @@ func TestGenerateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GenerateDocument(nil, "X"); err == nil {
+	if _, err := grammarOf(nil, "X"); err == nil {
 		t.Error("nil library must fail")
 	}
-	if _, err := Generate(nil); err == nil {
-		t.Error("nil library must fail")
-	}
-	if _, err := GenerateDocument(f.Common, "Address"); err == nil {
-		t.Error("GenerateDocument on BIE library must fail")
-	}
-	if _, err := GenerateDocument(f.DOCLib, "Nope"); err == nil {
+	if _, err := grammarOf(f.DOCLib, "Nope"); err == nil {
 		t.Error("unknown root must fail")
 	}
-	if _, err := Generate(f.CCLib); err == nil {
+	if _, err := grammarOf(f.CCLib, ""); err == nil {
 		t.Error("CC library must fail")
 	}
-	if _, err := Generate(f.DOCLib); err == nil {
-		t.Error("Generate on DOC library must fail")
+	if _, err := grammarOf(f.DOCLib, ""); err == nil {
+		t.Error("DOC library without a root must fail")
 	}
 }
 
@@ -181,11 +199,11 @@ func TestRecursiveModelTerminates(t *testing.T) {
 		t.Fatal(err)
 	}
 	docLib := m.FindLibrary("SynDoc")
-	g, err := GenerateDocument(docLib, root.Name)
+	g, err := grammarOf(docLib, root.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.DefineNames()) == 0 {
+	if len(g.names()) == 0 {
 		t.Error("no defines generated")
 	}
 }
@@ -201,7 +219,7 @@ func TestEmptyABIE(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = empty
-	g, err := Generate(lib)
+	g, err := grammarOf(lib, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +239,7 @@ func TestValuesReadBack(t *testing.T) {
 	const value, ns = "C:\\dir\u00a0x\ty&<\">", "urn:a\\b\u00a0c"
 	f.Model.FindENUM("CountryType_Code").Literals[0].Name = value
 	f.DOCLib.BaseURN = ns
-	g, err := GenerateDocument(f.DOCLib, "HoardingPermit")
+	g, err := grammarOf(f.DOCLib, "HoardingPermit")
 	if err != nil {
 		t.Fatal(err)
 	}

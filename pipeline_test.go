@@ -89,13 +89,11 @@ func TestPipelineProperty(t *testing.T) {
 		}
 
 		// 6. RELAX NG and RDF generation succeed.
-		if _, err := ccts.GenerateRelaxNGDocument(docLib, root.Name); err != nil {
-			t.Logf("relaxng: %v", err)
-			return false
-		}
-		if _, err := ccts.GenerateRDFSchema(back); err != nil {
-			t.Logf("rdfs: %v", err)
-			return false
+		for _, target := range []string{"rng", "rdfs"} {
+			if _, err := ccts.GenerateTargetDocument(docLib, root.Name, target, ccts.GenerateOptions{}); err != nil {
+				t.Logf("%s: %v", target, err)
+				return false
+			}
 		}
 		return true
 	}

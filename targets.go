@@ -1,7 +1,6 @@
 package ccts
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,14 +11,12 @@ import (
 )
 
 // Multi-target generation: the Resolve and Plan phases are
-// target-agnostic, and a Backend turns one plan into one wire format.
+// target-agnostic, and a backend turns one plan into one wire format.
 // The built-in targets are "xsd" (the paper's native transformation),
 // "jsonschema" (draft 2020-12), "proto" (Protocol Buffers 3), "rng"
-// (RELAX NG), "rdfs" (RDF Schema) and "go" (message bindings).
+// (RELAX NG) and "rdfs" (RDF Schema) — the extensions the paper names —
+// and "go" (message bindings, the paper's "transferred into code" step).
 type (
-	// GenBackend turns a generation plan into target-language output;
-	// see the interface contract for the determinism rules.
-	GenBackend = gen.Backend
 	// GenProfile is a per-run generation profile: datatype mapping
 	// overrides, namespace rewrites, import-location overrides and root
 	// preselection. Profiles apply to every target and participate in
@@ -38,56 +35,21 @@ func ParseGenProfile(data []byte) (*GenProfile, error) { return gen.ParseProfile
 // Targets lists the registered generation targets, sorted.
 func Targets() []string { return backends.Targets() }
 
-// TargetBackend resolves a target identifier to its backend.
-func TargetBackend(target string) (GenBackend, error) {
+// GenerateTargetDocument generates a library for the named target and
+// returns the serialized files: the one entry point of every target and
+// every library kind. The root rule is GenerateDocument's, and the
+// "xsd" target's bytes are exactly GenerateDocument + Schema.Write.
+// opts.Context cancels the run.
+func GenerateTargetDocument(lib *Library, rootABIE, target string, opts GenerateOptions) (*GenOutput, error) {
 	b, ok := backends.For(target)
 	if !ok {
 		return nil, fmt.Errorf("ccts: %w", backends.ErrUnknown(target))
 	}
-	return b, nil
-}
-
-// GenerateTarget generates a BIE, CDT, QDT or ENUM library for the
-// named target. The "xsd" target produces bytes identical to
-// Generate + Schema.Write.
-func GenerateTarget(lib *Library, target string, opts GenerateOptions) (*GenOutput, error) {
-	b, err := TargetBackend(target)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := gen.PlanLibrary(lib, opts)
+	plan, err := gen.NewPlan(lib, rootABIE, opts)
 	if err != nil {
 		return nil, err
 	}
 	return plan.ExecuteBackend(b)
-}
-
-// GenerateTargetDocument generates a DOCLibrary document rooted at the
-// named ABIE for the named target. An empty rootABIE falls back to the
-// profile's preselected root.
-func GenerateTargetDocument(lib *Library, rootABIE, target string, opts GenerateOptions) (*GenOutput, error) {
-	b, err := TargetBackend(target)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := gen.PlanDocument(lib, opts.Profile.RootOr(rootABIE), opts)
-	if err != nil {
-		return nil, err
-	}
-	return plan.ExecuteBackend(b)
-}
-
-// GenerateTargetContext is GenerateTarget under a cancellation context.
-func GenerateTargetContext(ctx context.Context, lib *Library, target string, opts GenerateOptions) (*GenOutput, error) {
-	opts.Context = ctx
-	return GenerateTarget(lib, target, opts)
-}
-
-// GenerateTargetDocumentContext is GenerateTargetDocument under a
-// cancellation context.
-func GenerateTargetDocumentContext(ctx context.Context, lib *Library, rootABIE, target string, opts GenerateOptions) (*GenOutput, error) {
-	opts.Context = ctx
-	return GenerateTargetDocument(lib, rootABIE, target, opts)
 }
 
 // WriteOutput writes every generated file into dir, creating it if
