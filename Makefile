@@ -148,14 +148,18 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 # verify is the full pre-merge gate: static checks (gofmt and vet), one
-# uncached pass of the entire test suite under the race detector, the
-# fuzz smoke pass, and an enforced ns/op benchmark diff against the
-# committed baselines (allocation drift stays advisory; see bench-diff
-# for the regression allowance). The race pass covers every *-smoke
-# drill above, since each is a subset of ./...; its per-package timeout
-# is the largest any drill sets, so no drill runs under a looser bound.
+# uncached pass of the entire test suite under the race detector, vet
+# and tests of the perfbench module, the fuzz smoke pass, and an
+# enforced ns/op benchmark diff against the committed baselines
+# (allocation drift stays advisory; see bench-diff for the regression
+# allowance). The race pass covers every *-smoke drill above, since each
+# is a subset of ./...; its per-package timeout is the largest any drill
+# sets, so no drill runs under a looser bound. perfbench is its own
+# module, so ./... never compiles it; the extra step keeps a facade
+# change from breaking the end-to-end benchmark unnoticed.
 verify: fmt-check
 	$(GO) vet ./...
 	$(GO) test -race -count=1 -timeout 180s ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-diff
