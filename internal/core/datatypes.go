@@ -214,7 +214,7 @@ func (d *QDT) CheckRestriction() error {
 	case *PRIM:
 		if base, ok := d.BasedOn.Content.Type.(*PRIM); !ok || base.Name != d.Content.Type.TypeName() {
 			return fmt.Errorf("core: QDT %q content primitive %q differs from CDT %q content %q",
-				d.Name, d.Content.Type.TypeName(), d.BasedOn.Name, d.BasedOn.Content.Type.TypeName())
+				d.Name, d.Content.Type.TypeName(), d.BasedOn.Name, componentTypeName(d.BasedOn.Content.Type))
 		}
 	case *ENUM:
 		// Restricting the content with an enumeration is always a
@@ -238,10 +238,18 @@ func (d *QDT) CheckRestriction() error {
 		if _, ok := s.Type.(*ENUM); ok {
 			continue // enum restriction of a SUP is always legal
 		}
-		if s.Type.TypeName() != base.Type.TypeName() {
+		if got, want := componentTypeName(s.Type), componentTypeName(base.Type); got != want {
 			return fmt.Errorf("core: QDT %q SUP %q type %q differs from CDT SUP type %q",
-				d.Name, s.Name, s.Type.TypeName(), base.Type.TypeName())
+				d.Name, s.Name, got, want)
 		}
 	}
 	return nil
+}
+
+// componentTypeName is t's name, or "" for an untyped component.
+func componentTypeName(t ComponentType) string {
+	if t == nil {
+		return ""
+	}
+	return t.TypeName()
 }

@@ -42,12 +42,18 @@ func Adapt(m *uml.Model, element any) ocl.Object {
 	return nil
 }
 
+// adaptClassifier wraps a class or enumeration; anything else, a nil
+// pointer of either included, is null.
 func adaptClassifier(m *uml.Model, c uml.Classifier) ocl.Value {
 	switch t := c.(type) {
 	case *uml.Class:
-		return ocl.Obj(&classObj{m: m, c: t})
+		if t != nil {
+			return ocl.Obj(&classObj{m: m, c: t})
+		}
 	case *uml.Enumeration:
-		return ocl.Obj(&enumerationObj{m: m, e: t})
+		if t != nil {
+			return ocl.Obj(&enumerationObj{m: m, e: t})
+		}
 	}
 	return ocl.Null()
 }

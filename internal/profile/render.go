@@ -102,7 +102,7 @@ func (r *renderer) renderMembers(pkg *uml.Package, lib *core.Library) {
 	for _, acc := range lib.ACCs {
 		c := r.accClass[acc]
 		for _, bcc := range acc.BCCs {
-			a := c.AddAttribute(bcc.Name, StBCC, bcc.Type.Name, bcc.Card)
+			a := c.AddAttribute(bcc.Name, StBCC, typeName(bcc.Type), bcc.Card)
 			setDefinition(&a.Tags, bcc.Definition)
 		}
 		for _, ascc := range acc.ASCCs {
@@ -121,7 +121,7 @@ func (r *renderer) renderMembers(pkg *uml.Package, lib *core.Library) {
 	for _, abie := range lib.ABIEs {
 		c := r.abieClass[abie]
 		for _, bbie := range abie.BBIEs {
-			a := c.AddAttribute(bbie.Name, StBBIE, bbie.Type.TypeName(), bbie.Card)
+			a := c.AddAttribute(bbie.Name, StBBIE, typeName(bbie.Type), bbie.Card)
 			setDefinition(&a.Tags, bbie.Definition)
 			if bbie.BasedOn != nil && bbie.BasedOn.Name != bbie.Name {
 				a.Tags.Set(TagBasedOnProperty, bbie.BasedOn.Name)
@@ -142,27 +142,51 @@ func (r *renderer) renderMembers(pkg *uml.Package, lib *core.Library) {
 			}
 			pkg.AddAssociation(assoc)
 		}
-		if abie.BasedOn != nil {
-			pkg.AddDependency(StBasedOn, c, r.accClass[abie.BasedOn])
+		if acc := r.accClass[abie.BasedOn]; acc != nil {
+			pkg.AddDependency(StBasedOn, c, acc)
 		}
 	}
 	for _, cdt := range lib.CDTs {
 		c := r.cdtClass[cdt]
-		c.AddAttribute(cdt.Content.Name, StCON, cdt.Content.Type.TypeName(), uml.One)
+		c.AddAttribute(cdt.Content.Name, StCON, typeName(cdt.Content.Type), uml.One)
 		for _, sup := range cdt.Sups {
-			a := c.AddAttribute(sup.Name, StSUP, sup.Type.TypeName(), sup.Card)
+			a := c.AddAttribute(sup.Name, StSUP, typeName(sup.Type), sup.Card)
 			setDefinition(&a.Tags, sup.Definition)
 		}
 	}
 	for _, qdt := range lib.QDTs {
 		c := r.qdtClass[qdt]
-		c.AddAttribute(qdt.Content.Name, StCON, qdt.Content.Type.TypeName(), uml.One)
+		c.AddAttribute(qdt.Content.Name, StCON, typeName(qdt.Content.Type), uml.One)
 		for _, sup := range qdt.Sups {
-			a := c.AddAttribute(sup.Name, StSUP, sup.Type.TypeName(), sup.Card)
+			a := c.AddAttribute(sup.Name, StSUP, typeName(sup.Type), sup.Card)
 			setDefinition(&a.Tags, sup.Definition)
 		}
-		if qdt.BasedOn != nil {
-			pkg.AddDependency(StBasedOn, c, r.cdtClass[qdt.BasedOn])
+		if cdt := r.cdtClass[qdt.BasedOn]; cdt != nil {
+			pkg.AddDependency(StBasedOn, c, cdt)
 		}
 	}
+}
+
+// typeName is the attribute type name of a member's type: empty for an
+// untyped member, which the profile's constraints then report.
+func typeName(t any) string {
+	switch t := t.(type) {
+	case *core.CDT:
+		if t != nil {
+			return t.Name
+		}
+	case *core.QDT:
+		if t != nil {
+			return t.Name
+		}
+	case *core.PRIM:
+		if t != nil {
+			return t.Name
+		}
+	case *core.ENUM:
+		if t != nil {
+			return t.Name
+		}
+	}
+	return ""
 }

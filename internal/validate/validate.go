@@ -278,19 +278,19 @@ func checkABIE(r *Report, lib *core.Library, abie *core.ABIE) {
 		if bbie.BasedOn.Owner() != abie.BasedOn {
 			r.add("SEM-BBIE-2", Error, element,
 				"BBIE %q restricts a BCC of ACC %q, not of the underlying ACC %q",
-				bbie.Name, bbie.BasedOn.Owner().Name, abie.BasedOn.Name)
+				bbie.Name, nameOf(bbie.BasedOn.Owner()), abie.BasedOn.Name)
 		}
 		switch t := bbie.Type.(type) {
 		case *core.CDT:
 			if t != bbie.BasedOn.Type {
 				r.add("SEM-BBIE-3", Error, element,
-					"BBIE %q uses CDT %q but the BCC uses %q", bbie.Name, t.Name, bbie.BasedOn.Type.Name)
+					"BBIE %q uses CDT %q but the BCC uses %q", bbie.Name, nameOf(t), nameOf(bbie.BasedOn.Type))
 			}
 		case *core.QDT:
 			if t.BasedOn != bbie.BasedOn.Type {
 				r.add("SEM-BBIE-3", Error, element,
 					"BBIE %q uses QDT %q based on %q, but the BCC uses %q",
-					bbie.Name, t.Name, t.BasedOn.Name, bbie.BasedOn.Type.Name)
+					bbie.Name, t.Name, nameOf(t.BasedOn), nameOf(bbie.BasedOn.Type))
 			}
 		default:
 			r.add("SEM-BBIE-4", Error, element, "BBIE %q has no data type", bbie.Name)
@@ -304,7 +304,7 @@ func checkABIE(r *Report, lib *core.Library, abie *core.ABIE) {
 		if asbie.BasedOn.Owner() != abie.BasedOn {
 			r.add("SEM-ASBIE-2", Error, element,
 				"ASBIE %q restricts an ASCC of ACC %q, not of the underlying ACC %q",
-				asbie.Role, asbie.BasedOn.Owner().Name, abie.BasedOn.Name)
+				asbie.Role, nameOf(asbie.BasedOn.Owner()), abie.BasedOn.Name)
 		}
 		if asbie.Target == nil {
 			r.add("SEM-ASBIE-3", Error, element, "ASBIE %q has no target ABIE", asbie.Role)
@@ -313,9 +313,25 @@ func checkABIE(r *Report, lib *core.Library, abie *core.ABIE) {
 		if asbie.Target.BasedOn != asbie.BasedOn.Target {
 			r.add("SEM-ASBIE-4", Error, element,
 				"ASBIE %q targets ABIE %q (based on %q) but the ASCC points at ACC %q",
-				asbie.Role, asbie.Target.Name, asbie.Target.BasedOn.Name, asbie.BasedOn.Target.Name)
+				asbie.Role, asbie.Target.Name, nameOf(asbie.Target.BasedOn), nameOf(asbie.BasedOn.Target))
 		}
 	}
+}
+
+// nameOf names a linked element in a finding message: "" when the link
+// is missing, so a malformed model is reported rather than dereferenced.
+func nameOf(e any) string {
+	switch e := e.(type) {
+	case *core.ACC:
+		if e != nil {
+			return e.Name
+		}
+	case *core.CDT:
+		if e != nil {
+			return e.Name
+		}
+	}
+	return ""
 }
 
 // checkCycles finds ASBIE reference cycles. A cycle in which every edge

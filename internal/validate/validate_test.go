@@ -175,6 +175,40 @@ func TestNilMembers(t *testing.T) {
 	}
 }
 
+// TestValidateMalformedModels runs the whole engine over models whose
+// links are missing or point outside the model: each must come back as
+// findings, not a panic.
+func TestValidateMalformedModels(t *testing.T) {
+	want := map[string][]string{
+		"untyped BCC":              {"SEM-BBIE-3", "BCC-1"},
+		"untyped BBIE":             {"SEM-BBIE-4", "BBIE-1"},
+		"untyped CDT content":      {"CDT-4"},
+		"untyped CDT SUP":          {"CDT-4"},
+		"untyped QDT content":      {"SEM-QDT-1", "QDT-4"},
+		"untyped QDT SUP":          {"SEM-QDT-1", "QDT-4"},
+		"QDT without CDT":          {"SEM-QDT-1", "SEM-BBIE-3", "QDT-3"},
+		"ASBIE target without ACC": {"SEM-ABIE-1", "SEM-ASBIE-4", "ABIE-2"},
+		"ABIE on foreign ACC":      {"SEM-BBIE-2", "SEM-ASBIE-4", "ABIE-2"},
+		"BCC without owner":        {"SEM-BBIE-2"},
+		"ASCC without owner":       {"SEM-ASBIE-2"},
+		"ASCC without target":      {"SEM-ASBIE-4", "ASCC-1"},
+	}
+	for _, c := range fixture.MalformedHoardingPermits() {
+		t.Run(c.Name, func(t *testing.T) {
+			rules, ok := want[c.Name]
+			if !ok {
+				t.Fatalf("no expected findings for %q", c.Name)
+			}
+			r := All(c.Model)
+			for _, rule := range rules {
+				if !hasRule(r, rule) {
+					t.Errorf("missing %s in %v", rule, r.Findings)
+				}
+			}
+		})
+	}
+}
+
 // buildCycle constructs two ABIEs referencing each other.
 func buildCycle(t *testing.T, mandatory bool) *core.Model {
 	t.Helper()
