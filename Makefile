@@ -24,9 +24,11 @@ bench:
 
 # PIPELINE_BENCH selects the root pipeline benchmarks of the layer
 # ledger: XMI import+export, XMI import alone (HoardingPermit and a
-# 300-ABIE export), OCL evaluation, model validation, the RDF Schema and
-# RELAX NG emitters, and XSD generation at 100 ABIEs.
-PIPELINE_BENCH = ^Benchmark(XMIRoundTrip|XMIImport|XMIImport300|OCLEval|ValidateScaling100|RDFSGenerate|RelaxNGGenerate|GenerateScaling100)$$
+# 300-ABIE export), the built-in constraint table (HoardingPermit and a
+# 300-ABIE model), the OCL interpreter user rules run on, model
+# validation, the RDF Schema and RELAX NG emitters, and XSD generation
+# at 100 ABIEs.
+PIPELINE_BENCH = ^Benchmark(XMIRoundTrip|XMIImport|XMIImport300|Constraints|Constraints300|OCLEval|ValidateScaling100|RDFSGenerate|RelaxNGGenerate|GenerateScaling100)$$
 
 # bench-pipeline records the pipeline stages (import, OCL, validation,
 # emit per backend) in BENCH_pipeline.json, the layer ledger that
@@ -86,6 +88,7 @@ fuzz-smoke:
 	$(GO) test ./internal/xmi -run='^$$' -fuzz=FuzzImport -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/xsd -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ocl -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/profile -run='^$$' -fuzz=FuzzConstraintOracle -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/gen -run='^$$' -fuzz=FuzzProfileJSON -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/repo -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/durable -run='^$$' -fuzz=FuzzScan -fuzztime=$(FUZZTIME)

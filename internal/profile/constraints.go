@@ -309,66 +309,26 @@ func EvaluateConstraints(m *uml.Model) []Violation {
 }
 
 // EvaluateConstraintsWith runs the built-in table plus user-defined
-// rules (see NewConstraint).
+// rules (see NewConstraint). The built-in rows run as compiled Go checks
+// (checks.go); the extra rules run through the OCL interpreter. For each
+// element, the built-in violations come before the extra ones.
 func EvaluateConstraintsWith(m *uml.Model, extra []Constraint) []Violation {
-	table := constraintTable
-	if len(extra) > 0 {
-		table = append(append([]Constraint(nil), constraintTable...), extra...)
-	}
-	var out []Violation
-	check := func(c Constraint, element string, obj ocl.Object) {
-		ok, err := c.Expr.EvalBool(obj)
-		if err != nil {
-			out = append(out, Violation{Constraint: c, Element: element, Err: err})
-			return
-		}
-		if !ok {
-			out = append(out, Violation{Constraint: c, Element: element})
-		}
-	}
-
+	ev := &evaluation{m: m, ix: uml.NewIndex(m), extra: extra}
 	m.WalkPackages(func(p *uml.Package) bool {
-		obj := Adapt(m, p)
-		for _, c := range table {
-			if c.Target == TargetPackage && c.appliesTo(p.Stereotype) {
-				check(c, p.QualifiedName(), obj)
-			}
-		}
-		for _, cl := range p.Classes {
-			clObj := Adapt(m, cl)
-			for _, c := range table {
-				if c.Target == TargetClass && c.appliesTo(cl.Stereotype) {
-					check(c, cl.QualifiedName(), clObj)
-				}
-			}
+		evalElement(ev, packageRules, p, p)
+		for _, c := range p.Classes {
+			evalElement(ev, classRules, p, c)
 		}
 		for _, a := range p.Associations {
-			aObj := Adapt(m, a)
-			name := p.QualifiedName() + "::<association " + a.TargetRole + ">"
-			for _, c := range table {
-				if c.Target == TargetAssociation && c.appliesTo(a.Stereotype) {
-					check(c, name, aObj)
-				}
-			}
+			evalElement(ev, associationRules, p, a)
 		}
 		for _, d := range p.Dependencies {
-			dObj := Adapt(m, d)
-			name := p.QualifiedName() + "::<basedOn>"
-			for _, c := range table {
-				if c.Target == TargetDependency && c.appliesTo(d.Stereotype) {
-					check(c, name, dObj)
-				}
-			}
+			evalElement(ev, dependencyRules, p, d)
 		}
 		for _, e := range p.Enumerations {
-			eObj := Adapt(m, e)
-			for _, c := range table {
-				if c.Target == TargetEnumeration && c.appliesTo(e.Stereotype) {
-					check(c, e.QualifiedName(), eObj)
-				}
-			}
+			evalElement(ev, enumerationRules, p, e)
 		}
 		return true
 	})
-	return out
+	return ev.out
 }
