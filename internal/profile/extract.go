@@ -19,6 +19,7 @@ import (
 func Extract(um *uml.Model) (*core.Model, error) {
 	x := &extractor{
 		um:       um,
+		ix:       uml.NewIndex(um),
 		cm:       core.NewModel(um.Name),
 		libOfPkg: map[*uml.Package]*core.Library{},
 		prims:    map[*uml.Class]*core.PRIM{},
@@ -46,6 +47,7 @@ func Extract(um *uml.Model) (*core.Model, error) {
 
 type extractor struct {
 	um *uml.Model
+	ix *uml.Index // resolves attribute types and basedOn suppliers
 	cm *core.Model
 
 	libOfPkg map[*uml.Package]*core.Library
@@ -158,7 +160,7 @@ func (x *extractor) enumPass() error {
 
 // componentType resolves a CON/SUP attribute type to a PRIM or ENUM.
 func (x *extractor) componentType(a *uml.Attribute) (core.ComponentType, error) {
-	cls, err := x.um.ResolveType(simpleName(a.TypeName))
+	cls, err := x.ix.ResolveType(simpleName(a.TypeName))
 	if err != nil {
 		return nil, fmt.Errorf("profile: attribute %q: %w", a.Name, err)
 	}
@@ -229,7 +231,7 @@ func (x *extractor) cdtPass() error {
 // class.
 func (x *extractor) basedOnSupplier(c *uml.Class) (*uml.Class, error) {
 	var suppliers []*uml.Class
-	for _, d := range x.um.DependenciesFrom(c) {
+	for _, d := range x.ix.DependenciesFrom(c) {
 		if d.Stereotype != StBasedOn {
 			continue
 		}
@@ -288,7 +290,7 @@ func (x *extractor) qdtPass() error {
 
 // dataType resolves a BCC/BBIE attribute type to a CDT or QDT.
 func (x *extractor) dataType(a *uml.Attribute) (core.DataType, error) {
-	cls, err := x.um.ResolveType(simpleName(a.TypeName))
+	cls, err := x.ix.ResolveType(simpleName(a.TypeName))
 	if err != nil {
 		return nil, fmt.Errorf("profile: attribute %q: %w", a.Name, err)
 	}
