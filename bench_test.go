@@ -246,8 +246,37 @@ func benchValidateScaling(b *testing.B, abies int) {
 func BenchmarkValidateScaling10(b *testing.B)  { benchValidateScaling(b, 10) }
 func BenchmarkValidateScaling100(b *testing.B) { benchValidateScaling(b, 100) }
 
-// BenchmarkOCLEval measures one representative profile constraint over a
-// rendered class (S2).
+// BenchmarkConstraints evaluates the profile's whole built-in constraint
+// table over the rendered HoardingPermit model (S2).
+func BenchmarkConstraints(b *testing.B) {
+	benchConstraints(b, fixture.MustBuildHoardingPermit().Model)
+}
+
+// BenchmarkConstraints300 evaluates the built-in table over a rendered
+// chained 300-ABIE synthetic model (10 BBIEs each), built once.
+func BenchmarkConstraints300(b *testing.B) {
+	m, _, err := fixture.BuildSynthetic(fixture.SyntheticSpec{ABIEs: 300, BBIEsPerABIE: 10, Chain: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchConstraints(b, m)
+}
+
+func benchConstraints(b *testing.B, m *ccts.Model) {
+	um := ccts.ToUML(m)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if vs := ccts.EvaluateConstraints(um); len(vs) != 0 {
+			b.Fatalf("unexpected violations: %v", vs)
+		}
+	}
+}
+
+// BenchmarkOCLEval measures the OCL interpreter on one representative
+// profile constraint over a rendered class (S2). The built-in table runs
+// as compiled Go checks (BenchmarkConstraints); the interpreter is the
+// path user rules from NewConstraint take.
 func BenchmarkOCLEval(b *testing.B) {
 	f := fixture.MustBuildHoardingPermit()
 	um := ccts.ToUML(f.Model)
