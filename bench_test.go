@@ -431,6 +431,52 @@ func BenchmarkRelaxNGGenerate(b *testing.B) { benchTarget(b, "rng") }
 // vocabulary covers the whole Figure 4 model.
 func BenchmarkRDFSGenerate(b *testing.B) { benchTarget(b, "rdfs") }
 
+// build300 builds the chained 300-ABIE synthetic model (10 BBIEs each)
+// the per-target ledger benches share.
+func build300(b *testing.B) (*ccts.Model, *ccts.ABIE) {
+	m, root, err := fixture.BuildSynthetic(fixture.SyntheticSpec{ABIEs: 300, BBIEsPerABIE: 10, Chain: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m, root
+}
+
+// BenchmarkEmit300 measures plan and emit of the 300-ABIE document for
+// each target through GenerateTargetDocument, with the model resolved
+// once outside the loop: the gen.<target> stage of a large compile.
+func BenchmarkEmit300(b *testing.B) {
+	m, root := build300(b)
+	docLib := m.FindLibrary("SynDoc")
+	opts := ccts.GenerateOptions{Index: ccts.ResolveModel(m)}
+	for _, target := range ccts.Targets() {
+		b.Run(target, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := ccts.GenerateTargetDocument(docLib, root.Name, target, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(out.Files[0].Data) == 0 {
+					b.Fatalf("empty %s output", target)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkResolve300 measures building the model index of the same
+// 300-ABIE model: the core.resolve stage.
+func BenchmarkResolve300(b *testing.B) {
+	m, _ := build300(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ix := ccts.ResolveModel(m); ix.FindLibrary("SynDoc") == nil {
+			b.Fatal("SynDoc not indexed")
+		}
+	}
+}
+
 // BenchmarkSampleGeneration measures full-mode sample message
 // generation from the compiled Figure 6 schema set.
 func BenchmarkSampleGeneration(b *testing.B) {

@@ -80,6 +80,46 @@ func TestGoldenHoardingPermitTargets(t *testing.T) {
 	}
 }
 
+// TestGoldenAnnotatedTargets pins annotated document runs: the Figure 6
+// document on the targets TestGoldenSchemas does not cover, and the
+// escapes fixture on every target. Run with -update after an
+// intentional backend change.
+func TestGoldenAnnotatedTargets(t *testing.T) {
+	hp, err := fixture.BuildHoardingPermit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	esc, err := fixture.BuildEscapes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []struct {
+		dir     string
+		lib     *ccts.Library
+		root    string
+		targets []string
+	}{
+		{"hoardingpermit-annotated", hp.DOCLib, "HoardingPermit", []string{"go", "jsonschema", "proto", "rdfs", "rng"}},
+		{"escapes", esc.DOCLib, esc.Root.Name, ccts.Targets()},
+	}
+	for _, r := range runs {
+		for _, target := range r.targets {
+			t.Run(r.dir+"/"+target, func(t *testing.T) {
+				out, err := ccts.GenerateTargetDocument(r.lib, r.root, target, ccts.GenerateOptions{Annotate: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(out.Files) == 0 {
+					t.Fatal("no files generated")
+				}
+				for _, file := range out.Files {
+					compareGolden(t, targetGoldenPath(r.dir, target, file.Name), string(file.Data))
+				}
+			})
+		}
+	}
+}
+
 // TestGoldenLibraryTargets pins library runs (no root ABIE) of a BIE
 // and a CDT library across every registered target: the golden
 // directory of each run holds exactly the generated files. The go
