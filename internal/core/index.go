@@ -56,13 +56,15 @@ type LibraryIndex struct {
 type DENer interface{ DEN() string }
 
 // NewModelIndex resolves every library of the model into one shared
-// index.
+// index, its memo maps sized by one counting pass so they never grow.
 func NewModelIndex(m *Model) *ModelIndex {
-	ix := newIndex()
+	var libs []*Library
 	if m != nil {
-		for _, lib := range m.Libraries() {
-			ix.addLibrary(lib)
-		}
+		libs = m.Libraries()
+	}
+	ix := newIndex(libs)
+	for _, lib := range libs {
+		ix.addLibrary(lib)
 	}
 	return ix
 }
@@ -73,7 +75,7 @@ func NewModelIndex(m *Model) *ModelIndex {
 // detached libraries that have no owning model; libraries attached to a
 // model are usually indexed whole via NewModelIndex.
 func IndexLibraries(seeds ...*Library) *ModelIndex {
-	ix := newIndex()
+	ix := newIndex(nil)
 	var queue []*Library
 	enqueue := func(lib *Library) {
 		if lib == nil {
@@ -135,13 +137,34 @@ func componentTypeLibrary(t ComponentType) *Library {
 	return nil
 }
 
-func newIndex() *ModelIndex {
+// newIndex creates an empty index whose maps hold the libraries libs
+// and their elements without growing.
+func newIndex(libs []*Library) *ModelIndex {
+	var names, types, dens int
+	for _, lib := range libs {
+		for _, acc := range lib.ACCs {
+			dens += 1 + len(acc.BCCs) + len(acc.ASCCs)
+		}
+		for _, abie := range lib.ABIEs {
+			members := 1 + len(abie.BBIEs) + len(abie.ASBIEs)
+			names += members
+			dens += members
+		}
+		for _, cdt := range lib.CDTs {
+			names += len(cdt.Sups)
+		}
+		for _, qdt := range lib.QDTs {
+			names += len(qdt.Sups)
+		}
+		types += len(lib.ABIEs) + len(lib.CDTs) + len(lib.QDTs) + len(lib.ENUMs)
+		dens += len(lib.CDTs) + len(lib.QDTs)
+	}
 	return &ModelIndex{
-		lib:       map[*Library]*LibraryIndex{},
-		libByName: map[string]*Library{},
-		names:     map[any]string{},
-		types:     map[any]string{},
-		dens:      map[any]string{},
+		lib:       make(map[*Library]*LibraryIndex, len(libs)),
+		libByName: make(map[string]*Library, len(libs)),
+		names:     make(map[any]string, names),
+		types:     make(map[any]string, types),
+		dens:      make(map[any]string, dens),
 	}
 }
 
@@ -162,7 +185,7 @@ func (ix *ModelIndex) addLibrary(lib *Library) {
 		enums:     make(map[string]*ENUM, len(lib.ENUMs)),
 		prims:     make(map[string]*PRIM, len(lib.PRIMs)),
 	}
-	seen := map[string]bool{}
+	seen := make(map[string]bool, lib.ElementCount())
 	intern := func(name string) bool {
 		dup := seen[name]
 		if dup {

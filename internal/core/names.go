@@ -15,6 +15,9 @@ import "strings"
 // leading non-letter is prefixed with an underscore. Names like
 // Person_Identification pass through unchanged, matching Figure 6.
 func XMLName(name string) string {
+	if isXMLName(name) {
+		return name
+	}
 	var b strings.Builder
 	for _, r := range name {
 		switch {
@@ -35,6 +38,25 @@ func XMLName(name string) string {
 		return "_"
 	}
 	return b.String()
+}
+
+// isXMLName reports whether XMLName would return name unchanged: it is
+// not empty, holds only ASCII letters, digits, '_' and '-', and starts
+// with a letter or '_'.
+func isXMLName(name string) bool {
+	if name == "" {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_':
+		case (c >= '0' && c <= '9' || c == '-') && i > 0:
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // TypeName derives the complex/simple type name: the XML name plus the
