@@ -15,7 +15,7 @@
 package protogen
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/go-ccts/ccts/internal/core"
@@ -76,46 +76,78 @@ func PackageName(ns string) string {
 
 // EmitOp implements gen.Backend.
 func (Backend) EmitOp(p *gen.Plan, u *gen.Unit, op gen.Op) (gen.Fragment, error) {
+	w := &writer{p: p, u: u}
 	switch {
 	case op.ABIE() != nil:
-		return emitABIE(p, u, op.ABIE()), nil
+		w.abie(op.ABIE())
 	case op.CDT() != nil:
 		cdt := op.CDT()
 		base := scalarOf(p, cdt.Name, ndr.ContentBuiltin(cdt))
-		return valueMessage(p, u, p.Index().DataTypeName(cdt), cdt.Definition, base, cdt.Sups), nil
+		w.valueMessage(p.Index().DataTypeName(cdt), cdt.Definition, nil, base, cdt.Sups)
 	case op.QDT() != nil:
-		return emitQDT(p, u, op.QDT()), nil
+		w.qdt(op.QDT())
 	default:
-		return emitENUM(p, op.ENUM()), nil
+		w.enum(op.ENUM())
 	}
+	return w.b.String(), nil
 }
 
 // Assemble implements gen.Backend.
 func (Backend) Assemble(p *gen.Plan, frags [][]gen.Fragment) (*gen.Output, error) {
 	out := &gen.Output{}
 	for i, u := range p.Units() {
-		var b strings.Builder
-		b.WriteString("syntax = \"proto3\";\n\n")
-		fmt.Fprintf(&b, "// Generated from %s %s (%s).\n", u.Library().Kind, u.Library().Name, p.Namespace(u.Library()))
-		fmt.Fprintf(&b, "package %s;\n", PackageName(p.Namespace(u.Library())))
-		for _, imp := range u.ImportedLibraries() {
-			loc := importPath(p, imp)
-			fmt.Fprintf(&b, "\nimport %q;", loc)
+		lib := u.Library()
+		ns := p.Namespace(lib)
+		pkg := PackageName(ns)
+		imports := make([]string, len(u.ImportedLibraries()))
+		size := headerBytes + len(lib.Kind.String()) + len(lib.Name) + len(ns) + len(pkg)
+		for j, imp := range u.ImportedLibraries() {
+			imports[j] = importPath(p, imp)
+			size += importBytes + len(imports[j])
 		}
-		if len(u.ImportedLibraries()) > 0 {
-			b.WriteString("\n")
+		if len(imports) > 0 {
+			size++
 		}
 		for _, f := range frags[i] {
-			b.WriteString("\n")
-			b.WriteString(f.(string))
+			size += 1 + len(f.(string))
+		}
+		b := make([]byte, 0, size)
+		b = append(b, "syntax = \"proto3\";\n\n// Generated from "...)
+		b = append(b, lib.Kind.String()...)
+		b = append(b, ' ')
+		b = append(b, lib.Name...)
+		b = append(b, " ("...)
+		b = append(b, ns...)
+		b = append(b, ").\npackage "...)
+		b = append(b, pkg...)
+		b = append(b, ";\n"...)
+		for _, loc := range imports {
+			b = append(b, "\nimport "...)
+			b = strconv.AppendQuote(b, loc)
+			b = append(b, ';')
+		}
+		if len(imports) > 0 {
+			b = append(b, '\n')
+		}
+		for _, f := range frags[i] {
+			b = append(b, '\n')
+			b = append(b, f.(string)...)
 		}
 		if i == 0 && p.Root() != nil {
 			out.RootElement = p.Index().ABIETypeName(p.Root())
 		}
-		out.Files = append(out.Files, gen.OutFile{Name: FileName(u), Data: []byte(b.String())})
+		out.Files = append(out.Files, gen.OutFile{Name: FileName(u), Data: b})
 	}
 	return out, nil
 }
+
+// headerBytes and importBytes size a file's fixed text: the header
+// around the library kind, name, namespace and package, and an import
+// statement around its quoted path.
+const (
+	headerBytes = len("syntax = \"proto3\";\n\n// Generated from " + " " + " (" + ").\npackage " + ";\n")
+	importBytes = len("\nimport \"\";")
+)
 
 // importPath resolves the import statement's path for an imported
 // library, honouring the profile's per-namespace override.
@@ -131,54 +163,97 @@ func importPath(p *gen.Plan, lib *core.Library) string {
 	return ""
 }
 
-// typeRef names a message/enum from the perspective of a unit:
+// writer renders one op's fragment. It derives the package name of each
+// foreign library the op references once, not once per field.
+type writer struct {
+	p    *gen.Plan
+	u    *gen.Unit
+	b    strings.Builder
+	libs []*core.Library
+	pkgs []string
+}
+
+// typeRef writes a message/enum name from the perspective of the unit:
 // same-package types are bare, foreign ones package-qualified.
-func typeRef(p *gen.Plan, from *gen.Unit, lib *core.Library, name string) string {
-	if lib == from.Library() {
-		return name
+func (w *writer) typeRef(lib *core.Library, name string) {
+	if lib != w.u.Library() {
+		w.b.WriteString(w.pkg(lib))
+		w.b.WriteByte('.')
 	}
-	return PackageName(p.Namespace(lib)) + "." + name
+	w.b.WriteString(name)
 }
 
-// fieldDecl renders one field with its plan-order number.
-func fieldDecl(b *strings.Builder, typ, name string, card core.Cardinality, number int) {
-	label := ""
-	if card.Upper == core.Unbounded || card.Upper > 1 {
-		label = "repeated "
-	} else if card.Lower == 0 {
-		label = "optional "
+func (w *writer) pkg(lib *core.Library) string {
+	for i, l := range w.libs {
+		if l == lib {
+			return w.pkgs[i]
+		}
 	}
-	fmt.Fprintf(b, "  %s%s %s = %d;\n", label, typ, fieldName(name), number)
+	name := PackageName(w.p.Namespace(lib))
+	w.libs = append(w.libs, lib)
+	w.pkgs = append(w.pkgs, name)
+	return name
 }
 
-// emitABIE renders an ABIE message: BBIE fields first, then ASBIEs,
+// fieldStart writes the indentation and label of a field with the
+// cardinality; the type follows.
+func (w *writer) fieldStart(card core.Cardinality) {
+	switch {
+	case card.Upper == core.Unbounded || card.Upper > 1:
+		w.b.WriteString("  repeated ")
+	case card.Lower == 0:
+		w.b.WriteString("  optional ")
+	default:
+		w.b.WriteString("  ")
+	}
+}
+
+// fieldEnd writes a field's name and its plan-order number.
+func (w *writer) fieldEnd(name string, number int) {
+	w.b.WriteByte(' ')
+	writeFieldName(&w.b, name, false)
+	w.b.WriteString(" = ")
+	w.b.WriteString(strconv.Itoa(number))
+	w.b.WriteString(";\n")
+}
+
+// open writes the leading comment and the opening line of a message or
+// enum.
+func (w *writer) open(keyword, name, definition string) {
+	w.comment(definition)
+	w.b.WriteString(keyword)
+	w.b.WriteString(name)
+	w.b.WriteString(" {\n")
+}
+
+// abie renders an ABIE message: BBIE fields first, then ASBIEs,
 // numbered from 1 in declaration order.
-func emitABIE(p *gen.Plan, u *gen.Unit, abie *core.ABIE) string {
-	ix := p.Index()
-	var b strings.Builder
-	comment(&b, p, abie.Definition)
-	fmt.Fprintf(&b, "message %s {\n", ix.ABIETypeName(abie))
+func (w *writer) abie(abie *core.ABIE) {
+	ix := w.p.Index()
+	w.open("message ", ix.ABIETypeName(abie), abie.Definition)
 	num := 0
 	for _, bbie := range abie.BBIEs {
 		num++
-		ref := typeRef(p, u, bbie.Type.DataTypeLibrary(), ix.DataTypeName(bbie.Type))
-		fieldDecl(&b, ref, ix.BBIEElementName(bbie), bbie.Card, num)
+		w.fieldStart(bbie.Card)
+		w.typeRef(bbie.Type.DataTypeLibrary(), ix.DataTypeName(bbie.Type))
+		w.fieldEnd(ix.BBIEElementName(bbie), num)
 	}
 	for _, asbie := range abie.ASBIEs {
 		num++
-		ref := typeRef(p, u, asbie.Target.Library(), ix.ABIETypeName(asbie.Target))
-		fieldDecl(&b, ref, ix.ASBIEElementName(asbie), asbie.Card, num)
+		w.fieldStart(asbie.Card)
+		w.typeRef(asbie.Target.Library(), ix.ABIETypeName(asbie.Target))
+		w.fieldEnd(ix.ASBIEElementName(asbie), num)
 	}
-	b.WriteString("}\n")
-	return b.String()
+	w.b.WriteString("}\n")
 }
 
-// emitQDT renders a qualified data type message.
-func emitQDT(p *gen.Plan, u *gen.Unit, qdt *core.QDT) string {
+// qdt renders a qualified data type message.
+func (w *writer) qdt(qdt *core.QDT) {
+	var contentLib *core.Library
 	var base string
 	switch t := qdt.Content.Type.(type) {
 	case *core.ENUM:
-		base = typeRef(p, u, t.Library(), p.Index().ENUMTypeName(t))
+		contentLib, base = t.Library(), w.p.Index().ENUMTypeName(t)
 	case *core.PRIM:
 		if qdt.BasedOn != nil {
 			base = scalar(ndr.ContentBuiltin(qdt.BasedOn))
@@ -186,67 +261,100 @@ func emitQDT(p *gen.Plan, u *gen.Unit, qdt *core.QDT) string {
 			base = scalar(ndr.XSDBuiltin(t))
 		}
 	}
-	if override, ok := p.Datatype(qdt.Name); ok {
-		base = scalar(override)
+	if override, ok := w.p.Datatype(qdt.Name); ok {
+		contentLib, base = nil, scalar(override)
 	}
-	return valueMessage(p, u, p.Index().DataTypeName(qdt), qdt.Definition, base, qdt.Sups)
+	w.valueMessage(w.p.Index().DataTypeName(qdt), qdt.Definition, contentLib, base, qdt.Sups)
 }
 
 // valueMessage renders the proto counterpart of XSD simpleContent: the
 // content component as field 1 named "value", supplementary components
-// as the following fields.
-func valueMessage(p *gen.Plan, u *gen.Unit, name, definition, contentType string, sups []core.SupplementaryComponent) string {
-	ix := p.Index()
-	var b strings.Builder
-	comment(&b, p, definition)
-	fmt.Fprintf(&b, "message %s {\n", name)
-	fmt.Fprintf(&b, "  %s value = 1;\n", contentType)
+// as the following fields. A content type with a library is a message or
+// enum of that library; without one it is a scalar.
+func (w *writer) valueMessage(name, definition string, contentLib *core.Library, contentType string, sups []core.SupplementaryComponent) {
+	ix := w.p.Index()
+	w.open("message ", name, definition)
+	w.b.WriteString("  ")
+	if contentLib != nil {
+		w.typeRef(contentLib, contentType)
+	} else {
+		w.b.WriteString(contentType)
+	}
+	w.b.WriteString(" value = 1;\n")
 	for i := range sups {
 		sup := &sups[i]
-		typ := ""
-		if en, ok := sup.Type.(*core.ENUM); ok {
-			typ = typeRef(p, u, en.Library(), ix.ENUMTypeName(en))
-		} else if prim, ok := sup.Type.(*core.PRIM); ok {
-			typ = scalar(ndr.XSDBuiltin(prim))
-		} else {
-			typ = "string"
+		w.fieldStart(sup.Card)
+		switch t := sup.Type.(type) {
+		case *core.ENUM:
+			w.typeRef(t.Library(), ix.ENUMTypeName(t))
+		case *core.PRIM:
+			w.b.WriteString(scalar(ndr.XSDBuiltin(t)))
+		default:
+			w.b.WriteString("string")
 		}
-		fieldDecl(&b, typ, ix.SupAttributeName(sup), sup.Card, i+2)
+		w.fieldEnd(ix.SupAttributeName(sup), i+2)
 	}
-	b.WriteString("}\n")
-	return b.String()
+	w.b.WriteString("}\n")
 }
 
-// emitENUM renders a proto enum. proto3 requires a zero value; CCTS
-// code lists have no natural one, so an UNSPECIFIED sentinel leads and
-// the modeled literals number from 1 in declaration order.
-func emitENUM(p *gen.Plan, e *core.ENUM) string {
-	name := p.Index().ENUMTypeName(e)
+// enum renders a proto enum. proto3 requires a zero value; CCTS code
+// lists have no natural one, so an UNSPECIFIED sentinel leads and the
+// modeled literals number from 1 in declaration order.
+func (w *writer) enum(e *core.ENUM) {
+	name := w.p.Index().ENUMTypeName(e)
 	prefix := constCase(name)
-	var b strings.Builder
-	comment(&b, p, e.Definition)
-	fmt.Fprintf(&b, "enum %s {\n", name)
-	fmt.Fprintf(&b, "  %s_UNSPECIFIED = 0;\n", prefix)
+	w.open("enum ", name, e.Definition)
+	w.b.WriteString("  ")
+	w.b.WriteString(prefix)
+	w.b.WriteString("_UNSPECIFIED = 0;\n")
 	for i, l := range e.Literals {
-		fmt.Fprintf(&b, "  %s_%s = %d;\n", prefix, constCase(l.Name), i+1)
+		w.b.WriteString("  ")
+		w.b.WriteString(prefix)
+		w.b.WriteByte('_')
+		writeFieldName(&w.b, l.Name, true)
+		w.b.WriteString(" = ")
+		w.b.WriteString(strconv.Itoa(i + 1))
+		w.b.WriteString(";\n")
 	}
-	b.WriteString("}\n")
-	return b.String()
+	w.b.WriteString("}\n")
 }
 
-// comment renders a leading comment when annotations are on.
-func comment(b *strings.Builder, p *gen.Plan, text string) {
-	if !p.Annotate() || text == "" {
+// comment renders a leading comment, one "// " line per line of text,
+// when annotations are on.
+func (w *writer) comment(text string) {
+	if !w.p.Annotate() || text == "" {
 		return
 	}
-	for _, line := range strings.Split(text, "\n") {
-		fmt.Fprintf(b, "// %s\n", line)
+	for {
+		line, rest, more := strings.Cut(text, "\n")
+		w.b.WriteString("// ")
+		w.b.WriteString(line)
+		w.b.WriteByte('\n')
+		if !more {
+			return
+		}
+		text = rest
 	}
 }
 
-// fieldName lowers a CamelCase element name to snake_case.
-func fieldName(name string) string {
-	var b strings.Builder
+// writeFieldName writes a CamelCase element name in snake_case, or in
+// SCREAMING_SNAKE for enum values when upper is set.
+func writeFieldName(b *strings.Builder, name string, upper bool) {
+	if name == "" {
+		if upper {
+			b.WriteString("FIELD")
+		} else {
+			b.WriteString("field")
+		}
+		return
+	}
+	if name[0] >= '0' && name[0] <= '9' {
+		if upper {
+			b.WriteByte('F')
+		} else {
+			b.WriteByte('f')
+		}
+	}
 	for i, r := range name {
 		switch {
 		case r >= 'A' && r <= 'Z':
@@ -260,26 +368,28 @@ func fieldName(name string) string {
 					b.WriteByte('_')
 				}
 			}
-			b.WriteRune(r - 'A' + 'a')
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			b.WriteRune(r)
+			if !upper {
+				r += 'a' - 'A'
+			}
+			b.WriteByte(byte(r))
+		case r >= 'a' && r <= 'z':
+			if upper {
+				r -= 'a' - 'A'
+			}
+			b.WriteByte(byte(r))
+		case r >= '0' && r <= '9':
+			b.WriteByte(byte(r))
 		default:
 			b.WriteByte('_')
 		}
 	}
-	s := b.String()
-	if s == "" {
-		return "field"
-	}
-	if s[0] >= '0' && s[0] <= '9' {
-		s = "f" + s
-	}
-	return s
 }
 
-// constCase uppercases a name into SCREAMING_SNAKE for enum values.
+// constCase converts a name to SCREAMING_SNAKE for enum values.
 func constCase(name string) string {
-	return strings.ToUpper(fieldName(name))
+	var b strings.Builder
+	writeFieldName(&b, name, true)
+	return b.String()
 }
 
 // scalarOf resolves a datatype's scalar type, honouring the profile

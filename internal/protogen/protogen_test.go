@@ -125,8 +125,10 @@ func TestFieldName(t *testing.T) {
 		"HazardCode":    "hazard_code",
 	}
 	for in, want := range cases {
-		if got := fieldName(in); got != want {
-			t.Errorf("fieldName(%q) = %q, want %q", in, got, want)
+		var b strings.Builder
+		writeFieldName(&b, in, false)
+		if got := b.String(); got != want {
+			t.Errorf("writeFieldName(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
