@@ -32,7 +32,7 @@ func (Backend) Assemble(p *gen.Plan, _ [][]gen.Fragment) (*gen.Output, error) {
 	}
 	name := strings.TrimSuffix(p.Units()[0].File(), ".xsd") + ".go"
 	return &gen.Output{
-		Files:       []gen.OutFile{{Name: name, Data: []byte(code)}},
+		Files:       []gen.OutFile{{Name: name, Data: code}},
 		RootElement: p.Index().ABIEElementName(p.Root()),
 	}, nil
 }

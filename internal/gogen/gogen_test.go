@@ -1,6 +1,11 @@
 package gogen
 
 import (
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -21,7 +26,8 @@ func bindings(lib *core.Library, root string, opts gen.Options) (string, error) 
 	if err != nil {
 		return "", err
 	}
-	return generate(p)
+	src, err := generate(p)
+	return string(src), err
 }
 
 func generated(t *testing.T) string {
@@ -108,6 +114,39 @@ func TestGoIdent(t *testing.T) {
 		if got := goIdent(in); got != want {
 			t.Errorf("goIdent(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestLineBreaksStayInComments generates bindings for a HoardingPermit
+// whose enumeration literal values and one BBIE name (so its DEN) hold
+// a line break, and requires go/types to accept the file: every line of
+// such a text must stay inside its comment.
+func TestLineBreaksStayInComments(t *testing.T) {
+	f, err := fixture.BuildHoardingPermit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range f.EnumLib.ENUMs {
+		for i := range e.Literals {
+			e.Literals[i].Value = "first line\nsecond line"
+		}
+	}
+	f.Permit.BBIEs[0].Name = "Closure\nReason"
+	src, err := bindings(f.DOCLib, "HoardingPermit", gen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(src, "\t// second line\n") {
+		t.Errorf("literal value's second line not commented:\n%s", src)
+	}
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "bindings.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf := types.Config{Importer: importer.Default()}
+	if _, err := conf.Check("messages", fset, []*ast.File{file}, nil); err != nil {
+		t.Fatalf("generated bindings do not type-check: %v\n%s", err, src)
 	}
 }
 
