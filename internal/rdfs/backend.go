@@ -32,7 +32,7 @@ func (Backend) Assemble(p *gen.Plan, _ [][]gen.Fragment) (*gen.Output, error) {
 	if m == nil {
 		return nil, fmt.Errorf("rdfs: library %q is not part of a model", u.Library().Name)
 	}
-	doc, err := render(m, p.Namespace)
+	doc, err := render(m, p.Index(), p.Namespace)
 	if err != nil {
 		return nil, err
 	}

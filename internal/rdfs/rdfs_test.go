@@ -1,6 +1,7 @@
 package rdfs
 
 import (
+	"bytes"
 	"encoding/xml"
 	"io"
 	"strings"
@@ -12,7 +13,7 @@ import (
 
 // generateModel renders m under the modelled namespaces.
 func generateModel(m *core.Model) (string, error) {
-	doc, err := render(m, func(lib *core.Library) string { return lib.BaseURN })
+	doc, err := render(m, nil, func(lib *core.Library) string { return lib.BaseURN })
 	return string(doc), err
 }
 
@@ -98,8 +99,10 @@ func TestPropertyName(t *testing.T) {
 		"URL":           "uRL",
 	}
 	for in, want := range cases {
-		if got := propertyName(in); got != want {
-			t.Errorf("propertyName(%q) = %q, want %q", in, got, want)
+		var b bytes.Buffer
+		b.WriteString(writeLowerFirst(&b, in))
+		if got := b.String(); got != want {
+			t.Errorf("writeLowerFirst(%q) wrote %q, want %q", in, got, want)
 		}
 	}
 }
