@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/go-ccts/ccts/internal/gen"
-	"github.com/go-ccts/ccts/internal/ndr"
 )
 
 // Backend adapts the RELAX NG generator to the gen.Backend interface.
@@ -35,7 +34,7 @@ func (Backend) Assemble(p *gen.Plan, _ [][]gen.Fragment) (*gen.Output, error) {
 	// Copy out of the grown buffer so a cached output holds no slack.
 	out := &gen.Output{Files: []gen.OutFile{{Name: name, Data: bytes.Clone(g.bytes())}}}
 	if root := p.Root(); root != nil {
-		out.RootElement = ndr.XMLName(root.Name)
+		out.RootElement = p.Index().ABIEElementName(root)
 	}
 	return out, nil
 }

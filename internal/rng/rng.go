@@ -139,10 +139,14 @@ func (p *choicePat) write(b *bytes.Buffer, depth int) {
 
 func (p *wrapPat) write(b *bytes.Buffer, depth int) {
 	indent(b, depth)
-	b.WriteString("<" + p.kind + ">\n")
+	b.WriteByte('<')
+	b.WriteString(p.kind)
+	b.WriteString(">\n")
 	writeAll(b, p.children, depth+1)
 	indent(b, depth)
-	b.WriteString("</" + p.kind + ">\n")
+	b.WriteString("</")
+	b.WriteString(p.kind)
+	b.WriteString(">\n")
 }
 
 func (p *textPat) write(b *bytes.Buffer, depth int) {
@@ -166,12 +170,25 @@ type grammar struct {
 	start   string
 	defines []define
 	byName  map[string]bool
+	// members counts the elements, attributes and values the defines
+	// hold, to size the serialisation buffer.
+	members int
 }
 
-// bytes serialises the grammar in RELAX NG XML syntax into a fresh
-// buffer; output is deterministic in generation order.
+// defineBytes and memberBytes size the serialisation buffer: the bytes
+// of one define's frame and of one element, attribute or value pattern
+// with its occurrence wrapper. The fixture and synthetic models come
+// within a fifth of the estimate; a buffer that runs short doubles.
+const (
+	defineBytes = 96
+	memberBytes = 160
+)
+
+// bytes serialises the grammar in RELAX NG XML syntax into a buffer
+// sized up front; output is deterministic in generation order.
 func (g *grammar) bytes() []byte {
 	b := &bytes.Buffer{}
+	b.Grow((len(g.defines)+1)*defineBytes + g.members*memberBytes)
 	b.WriteString(`<?xml version="1.0" encoding="UTF-8"?>` + "\n")
 	b.WriteString(`<grammar xmlns="` + Namespace + `" datatypeLibrary="` + DatatypeLibrary + "\">\n")
 	if g.start != "" {
@@ -207,6 +224,7 @@ func (g *grammar) addDefine(name string, patterns ...Pattern) {
 func generate(p *gen.Plan) (*grammar, error) {
 	g := &generator{
 		grammar:  &grammar{byName: map[string]bool{}},
+		ix:       p.Index(),
 		ns:       p.Namespace,
 		prefixes: ndr.NewPrefixAllocator(),
 		emitted:  map[any]string{},
@@ -216,9 +234,11 @@ func generate(p *gen.Plan) (*grammar, error) {
 		if err != nil {
 			return nil, err
 		}
-		startName := "start." + ndr.XMLName(root.Name)
+		rootName := g.ix.ABIEElementName(root)
+		startName := "start." + rootName
+		g.grammar.members++
 		g.grammar.addDefine(startName, &elementPat{
-			name:     ndr.XMLName(root.Name),
+			name:     rootName,
 			ns:       g.ns(root.Library()),
 			children: []Pattern{&refPat{name: rootDef}},
 		})
@@ -253,6 +273,7 @@ func generate(p *gen.Plan) (*grammar, error) {
 
 type generator struct {
 	grammar  *grammar
+	ix       *core.ModelIndex
 	ns       func(*core.Library) string
 	prefixes *ndr.PrefixAllocator
 	emitted  map[any]string
@@ -274,8 +295,9 @@ func (g *generator) abie(abie *core.ABIE) (string, error) {
 	if lib == nil {
 		return "", fmt.Errorf("rng: ABIE %q has no owning library", abie.Name)
 	}
-	name := g.defineName(lib, ndr.TypeName(abie.Name))
+	name := g.defineName(lib, g.ix.ABIETypeName(abie))
 	g.emitted[abie] = name // pre-register to terminate recursive models
+	g.grammar.members += len(abie.BBIEs) + len(abie.ASBIEs)
 
 	var body []Pattern
 	for _, bbie := range abie.BBIEs {
@@ -284,7 +306,7 @@ func (g *generator) abie(abie *core.ABIE) (string, error) {
 			return "", fmt.Errorf("rng: BBIE %q of ABIE %q: %w", bbie.Name, abie.Name, err)
 		}
 		el := &elementPat{
-			name:     ndr.XMLName(bbie.Name),
+			name:     g.ix.BBIEElementName(bbie),
 			ns:       g.ns(lib),
 			children: []Pattern{&refPat{name: dtName}},
 		}
@@ -296,7 +318,7 @@ func (g *generator) abie(abie *core.ABIE) (string, error) {
 			return "", err
 		}
 		el := &elementPat{
-			name:     ndr.ASBIEElementName(asbie.Role, asbie.Target.Name),
+			name:     g.ix.ASBIEElementName(asbie),
 			ns:       g.ns(lib),
 			children: []Pattern{&refPat{name: targetDef}},
 		}
@@ -326,7 +348,7 @@ func (g *generator) cdt(cdt *core.CDT) string {
 	if name, ok := g.emitted[cdt]; ok {
 		return name
 	}
-	name := g.defineName(cdt.DataTypeLibrary(), ndr.TypeName(cdt.Name))
+	name := g.defineName(cdt.DataTypeLibrary(), g.ix.DataTypeName(cdt))
 	g.emitted[cdt] = name
 	body := []Pattern{&dataPat{typeName: xsdLocal(ndr.ContentBuiltin(cdt))}}
 	body = append(body, g.supAttributes(cdt.Sups)...)
@@ -338,7 +360,7 @@ func (g *generator) qdt(qdt *core.QDT) (string, error) {
 	if name, ok := g.emitted[qdt]; ok {
 		return name, nil
 	}
-	name := g.defineName(qdt.DataTypeLibrary(), ndr.TypeName(qdt.Name))
+	name := g.defineName(qdt.DataTypeLibrary(), g.ix.DataTypeName(qdt))
 	g.emitted[qdt] = name
 	var content Pattern
 	switch t := qdt.Content.Type.(type) {
@@ -363,8 +385,9 @@ func (g *generator) enum(e *core.ENUM) string {
 	if name, ok := g.emitted[e]; ok {
 		return name
 	}
-	name := g.defineName(e.Library(), ndr.TypeName(e.Name))
+	name := g.defineName(e.Library(), g.ix.ENUMTypeName(e))
 	g.emitted[e] = name
+	g.grammar.members += len(e.Literals)
 	choice := &choicePat{}
 	for _, l := range e.Literals {
 		choice.children = append(choice.children, &valuePat{value: l.Name})
@@ -379,6 +402,7 @@ func (g *generator) enum(e *core.ENUM) string {
 
 func (g *generator) supAttributes(sups []core.SupplementaryComponent) []Pattern {
 	var out []Pattern
+	g.grammar.members += len(sups)
 	for i := range sups {
 		sup := &sups[i]
 		var value Pattern
@@ -390,7 +414,7 @@ func (g *generator) supAttributes(sups []core.SupplementaryComponent) []Pattern 
 		default:
 			value = &textPat{}
 		}
-		attr := &attributePat{name: ndr.XMLName(sup.Name), child: value}
+		attr := &attributePat{name: g.ix.SupAttributeName(sup), child: value}
 		if sup.Card.Lower >= 1 {
 			out = append(out, attr)
 		} else {
