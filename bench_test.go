@@ -391,6 +391,32 @@ func BenchmarkInstanceValidation(b *testing.B) {
 	b.SetBytes(int64(len(msg)))
 }
 
+// BenchmarkParseSchema300 measures ccts.ParseSchema over the annotated
+// XSD set of the chained 300-ABIE synthetic model, generated once: the
+// read-back that LoadSchemaSet and ccvalidate run on shipped schemas.
+func BenchmarkParseSchema300(b *testing.B) {
+	m, root := build300(b)
+	opts := ccts.GenerateOptions{Annotate: true, Index: ccts.ResolveModel(m)}
+	out, err := ccts.GenerateTargetDocument(m.FindLibrary("SynDoc"), root.Name, "xsd", opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	size := 0
+	for _, f := range out.Files {
+		size += len(f.Data)
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range out.Files {
+			if _, err := ccts.ParseSchema(bytes.NewReader(f.Data)); err != nil {
+				b.Fatalf("%s: %v", f.Name, err)
+			}
+		}
+	}
+}
+
 // BenchmarkRegistryRegisterAndSearch measures the harmonisation registry
 // over the Figure 4 model.
 func BenchmarkRegistryRegisterAndSearch(b *testing.B) {
