@@ -1,17 +1,27 @@
-package limits
+package limits_test
 
 import (
-	"encoding/xml"
 	"errors"
 	"io"
 	"strings"
 	"testing"
+
+	. "github.com/go-ccts/ccts/internal/limits"
+	"github.com/go-ccts/ccts/internal/xmlscan"
 )
 
+// The policy is enforced by one reader, internal/xmlscan, for XMI, XSD
+// and instance documents alike; these tests check each limit through it.
+
+// scan returns a scanner over doc under lim.
+func scan(doc string, lim Limits) *xmlscan.Scanner {
+	return xmlscan.New([]byte(doc), lim, "test")
+}
+
 // drain pulls tokens until an error or EOF and returns the error.
-func drain(d *Decoder) error {
+func drain(s *xmlscan.Scanner) error {
 	for {
-		_, err := d.Token()
+		_, err := s.Next()
 		if err == io.EOF {
 			return nil
 		}
@@ -23,7 +33,7 @@ func drain(d *Decoder) error {
 
 func TestUnlimitedPassesEverything(t *testing.T) {
 	doc := `<a><b deep="` + strings.Repeat("x", 4096) + `"><c/></b></a>`
-	if err := drain(NewDecoder(strings.NewReader(doc), Unlimited())); err != nil {
+	if err := drain(scan(doc, Unlimited())); err != nil {
 		t.Fatalf("unlimited decode failed: %v", err)
 	}
 }
@@ -43,7 +53,7 @@ func TestOrDefaultKeepsUnlimited(t *testing.T) {
 
 func TestMaxDepth(t *testing.T) {
 	doc := strings.Repeat("<p>", 12) + strings.Repeat("</p>", 12)
-	err := drain(NewDecoder(strings.NewReader(doc), Limits{MaxDepth: 10}))
+	err := drain(scan(doc, Limits{MaxDepth: 10}))
 	if !errors.Is(err, ErrLimit) {
 		t.Fatalf("want ErrLimit, got %v", err)
 	}
@@ -58,7 +68,7 @@ func TestMaxDepth(t *testing.T) {
 
 func TestMaxElements(t *testing.T) {
 	doc := "<r>" + strings.Repeat("<e/>", 20) + "</r>"
-	err := drain(NewDecoder(strings.NewReader(doc), Limits{MaxElements: 5}))
+	err := drain(scan(doc, Limits{MaxElements: 5}))
 	var v *Violation
 	if !errors.As(err, &v) || v.Limit != "MaxElements" {
 		t.Fatalf("want MaxElements violation, got %v", err)
@@ -74,7 +84,7 @@ func TestMaxAttributes(t *testing.T) {
 		sb.WriteString(`="v"`)
 	}
 	sb.WriteString("/>")
-	err := drain(NewDecoder(strings.NewReader(sb.String()), Limits{MaxAttributes: 4}))
+	err := drain(scan(sb.String(), Limits{MaxAttributes: 4}))
 	var v *Violation
 	if !errors.As(err, &v) || v.Limit != "MaxAttributes" {
 		t.Fatalf("want MaxAttributes violation, got %v", err)
@@ -83,11 +93,13 @@ func TestMaxAttributes(t *testing.T) {
 
 func TestMaxTokenLen(t *testing.T) {
 	cases := map[string]string{
+		"element name":    `<` + strings.Repeat("n", 100) + `/>`,
 		"attribute value": `<r a="` + strings.Repeat("x", 100) + `"/>`,
 		"character data":  `<r>` + strings.Repeat("y", 100) + `</r>`,
+		"CDATA section":   `<r><![CDATA[` + strings.Repeat("z", 100) + `]]></r>`,
 	}
 	for name, doc := range cases {
-		err := drain(NewDecoder(strings.NewReader(doc), Limits{MaxTokenLen: 50}))
+		err := drain(scan(doc, Limits{MaxTokenLen: 50}))
 		var v *Violation
 		if !errors.As(err, &v) || v.Limit != "MaxTokenLen" {
 			t.Errorf("%s: want MaxTokenLen violation, got %v", name, err)
@@ -95,9 +107,19 @@ func TestMaxTokenLen(t *testing.T) {
 	}
 }
 
+// TestMaxInputBytes reads the document through the bounded io.Reader
+// intake every entry point uses, which stops at the limit.
 func TestMaxInputBytes(t *testing.T) {
 	doc := "<r>" + strings.Repeat("<e></e>", 100) + "</r>"
-	err := drain(NewDecoder(strings.NewReader(doc), Limits{MaxInputBytes: 64}))
+	lim := Limits{MaxInputBytes: 64}
+	data, err := xmlscan.ReadInput(strings.NewReader(doc), lim.MaxInputBytes, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(data)) != lim.MaxInputBytes {
+		t.Errorf("read %d bytes, want the %d the limit allows", len(data), lim.MaxInputBytes)
+	}
+	err = drain(xmlscan.New(data, lim, "test"))
 	var v *Violation
 	if !errors.As(err, &v) || v.Limit != "MaxInputBytes" {
 		t.Fatalf("want MaxInputBytes violation, got %v", err)
@@ -113,7 +135,7 @@ func TestDTDRejected(t *testing.T) {
 		`<!DOCTYPE r SYSTEM "http://evil.example/r.dtd"><r/>`,
 	}
 	for _, doc := range docs {
-		err := drain(NewDecoder(strings.NewReader(doc), Default()))
+		err := drain(scan(doc, Default()))
 		if !errors.Is(err, ErrDTD) {
 			t.Errorf("doc %q: want ErrDTD, got %v", doc, err)
 		}
@@ -126,8 +148,7 @@ func TestDTDRejected(t *testing.T) {
 
 func TestPositionsAcrossLines(t *testing.T) {
 	doc := "<a>\n  <b>\n    <c></c>\n  </b>\n</a>"
-	d := NewDecoder(strings.NewReader(doc), Limits{MaxDepth: 2})
-	err := drain(d)
+	err := drain(scan(doc, Limits{MaxDepth: 2}))
 	var v *Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("want violation, got %v", err)
@@ -138,50 +159,47 @@ func TestPositionsAcrossLines(t *testing.T) {
 }
 
 func TestSkipEnforcesLimits(t *testing.T) {
-	// The skipped subtree hides the depth bomb; Decoder.Skip must still
-	// see it.
+	// The skipped subtree hides the depth bomb; Skip must still see it.
 	doc := "<a><skip>" + strings.Repeat("<p>", 12) + strings.Repeat("</p>", 12) + "</skip></a>"
-	d := NewDecoder(strings.NewReader(doc), Limits{MaxDepth: 10})
+	s := scan(doc, Limits{MaxDepth: 10})
 	// read <a> then <skip>, then skip the subtree
 	for i := 0; i < 2; i++ {
-		if _, err := d.Token(); err != nil {
+		if _, err := s.Next(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := d.Skip()
+	err := s.Skip()
 	if !errors.Is(err, ErrLimit) {
 		t.Fatalf("Skip bypassed the depth limit: %v", err)
 	}
 }
 
+// TestWrapAddsPosition: a reader's own error is positioned after the
+// current token and names the reader.
 func TestWrapAddsPosition(t *testing.T) {
-	d := NewDecoder(strings.NewReader("<a>\n<b/></a>"), Unlimited())
-	for i := 0; i < 3; i++ { // <a>, chardata, <b>
-		if _, err := d.Token(); err != nil {
+	s := scan("<a>\n<b/></a>", Unlimited())
+	for i := 0; i < 2; i++ { // <a>, <b>
+		if _, err := s.Next(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := d.Wrap("test", errors.New("boom"))
+	err := s.Errorf("boom")
 	var pe *PosError
-	if !errors.As(err, &pe) || pe.Line != 2 {
-		t.Fatalf("wrapped error has wrong position: %v", err)
+	if !errors.As(err, &pe) || pe.Line != 2 || pe.Col != 5 || pe.Op != "test" {
+		t.Fatalf("positioned error = %#v, want test at 2:5", err)
 	}
-	// Already-positional errors pass through unchanged.
-	if got := d.Wrap("test", err); got != err {
-		t.Error("Wrap re-wrapped a positional error")
-	}
-	if got := d.Wrap("test", io.EOF); got != io.EOF {
-		t.Error("Wrap wrapped io.EOF")
+	if err.Error() != "test: 2:5: boom" {
+		t.Errorf("error text = %q", err)
 	}
 }
 
 func TestTruncatedInputSurfacesSyntaxError(t *testing.T) {
-	err := drain(NewDecoder(strings.NewReader("<a><b>unfinished"), Default()))
-	if err == nil {
-		t.Fatal("truncated document decoded cleanly")
+	err := drain(scan("<a><b>unfinished", Default()))
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated document: err = %v, want an unexpected EOF", err)
 	}
-	var se *xml.SyntaxError
-	if !errors.As(err, &se) && err != io.ErrUnexpectedEOF {
-		t.Logf("truncation error type %T: %v", err, err)
+	var pe *PosError
+	if !errors.As(err, &pe) || pe.Line != 1 || pe.Col != 17 {
+		t.Errorf("truncation error carries no position at the end of input: %v", err)
 	}
 }

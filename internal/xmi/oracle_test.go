@@ -9,13 +9,22 @@ import (
 	"github.com/go-ccts/ccts/internal/limits"
 	"github.com/go-ccts/ccts/internal/uml"
 	. "github.com/go-ccts/ccts/internal/xmi"
+	"github.com/go-ccts/ccts/internal/xmlscan/xmloracle"
 )
 
 // This file is the XMI reader that ImportBytes replaced, on
-// encoding/xml behind limits.Decoder, kept unchanged as the
+// encoding/xml behind xmloracle.Decoder, kept unchanged as the
 // differential oracle of the byte scanner (differential_test.go). Only
 // its entry point is renamed and the declarations it shares with the
 // package are dropped.
+
+// The rule by which the scanner and the oracle reject an input alike,
+// shared with the XSD and instance readers' differential tests.
+var (
+	outcome  = xmloracle.Outcome
+	errPos   = xmloracle.ErrPos
+	earlyCut = xmloracle.EarlyCut
+)
 
 // oracleImportWithOptions reads an XMI document under explicit options.
 // In lenient mode the returned model may be partial and the diagnostics
@@ -23,7 +32,7 @@ import (
 // diagnostics are always nil and the first defect aborts with a
 // positional error.
 func oracleImportWithOptions(r io.Reader, opts ImportOptions) (*uml.Model, []Diagnostic, error) {
-	dec := limits.NewDecoder(r, opts.Limits)
+	dec := xmloracle.NewDecoder(r, opts.Limits)
 	p := &importer{
 		byID:            map[string]any{},
 		dec:             dec,
@@ -60,7 +69,7 @@ type importer struct {
 	associations []pendingAssociation
 	dependencies []pendingDependency
 
-	dec             *limits.Decoder
+	dec             *xmloracle.Decoder
 	lenient         bool
 	stereotypeKnown func(element, stereotype string) bool
 	diags           []Diagnostic

@@ -1,0 +1,57 @@
+package xsd
+
+import (
+	"bytes"
+	"errors"
+	"runtime"
+	"strings"
+	"testing"
+
+	"github.com/go-ccts/ccts/internal/limits"
+)
+
+// parseAlloc parses doc under the default limits through the io.Reader
+// entry point and returns the error and the heap bytes the parse
+// allocated.
+func parseAlloc(doc []byte) (uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Parse(bytes.NewReader(doc))
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, err
+}
+
+// schemaWith wraps body in an empty schema.
+func schemaWith(body string) []byte {
+	return []byte(`<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema" targetNamespace="urn:m">` + body + `</xsd:schema>`)
+}
+
+// TestParseMemoryBounded: an accepted 8 MiB schema of 512 KiB newline
+// runs costs less than three times its size, the input copy included.
+// The encoding/xml reader allocated about 47 times its size here: it
+// indexed every newline and buffered every run.
+func TestParseMemoryBounded(t *testing.T) {
+	doc := schemaWith(strings.Repeat(strings.Repeat("\n", 512<<10)+"<!---->", 16))
+	n, err := parseAlloc(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n >= 3*uint64(len(doc)) {
+		t.Errorf("parsing %d bytes allocated %d bytes, want < 3x", len(doc), n)
+	}
+}
+
+// TestParseMemoryTokenCut: a single 8 MiB character-data run fails with
+// MaxTokenLen, within the same bound, instead of being buffered whole
+// before the check.
+func TestParseMemoryTokenCut(t *testing.T) {
+	doc := schemaWith(strings.Repeat("\n", 8<<20))
+	n, err := parseAlloc(doc)
+	var v *limits.Violation
+	if !errors.As(err, &v) || v.Limit != "MaxTokenLen" {
+		t.Fatalf("err = %v, want a MaxTokenLen violation", err)
+	}
+	if n >= 3*uint64(len(doc)) {
+		t.Errorf("rejecting %d bytes allocated %d bytes, want < 3x", len(doc), n)
+	}
+}

@@ -1,47 +1,23 @@
 package xsd
 
 import (
-	"encoding/xml"
-	"fmt"
+	"bytes"
 	"io"
 	"strconv"
 	"strings"
 
 	"github.com/go-ccts/ccts/internal/limits"
+	"github.com/go-ccts/ccts/internal/xmlscan"
 )
 
 // Parse reads an XSD document into the object model, enforcing the
 // default ingestion limits. It understands the subset the writer emits
 // (plus whitespace/comment tolerance): imports, global elements,
 // complex types with sequences or simpleContent extensions, simple
-// types with restriction facets, and CCTS annotations.
+// types with restriction facets, and CCTS annotations. Limit violations
+// and parse errors carry the line:col position at which they occurred.
 func Parse(r io.Reader) (*Schema, error) {
-	return ParseWithLimits(r, limits.Default())
-}
-
-// ParseWithLimits parses a schema under explicit resource limits (the
-// zero Limits disables all checks). Limit violations and parse errors
-// carry the line:col position at which they occurred.
-func ParseWithLimits(r io.Reader, lim limits.Limits) (*Schema, error) {
-	dec := limits.NewDecoder(r, lim)
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			return nil, errf(dec, "no schema element found")
-		}
-		if err != nil {
-			return nil, dec.Wrap("xsd", err)
-		}
-		start, ok := tok.(xml.StartElement)
-		if !ok {
-			continue
-		}
-		if start.Name.Space != XSDNamespace || start.Name.Local != "schema" {
-			return nil, errf(dec, "root element is {%s}%s, want {%s}schema",
-				start.Name.Space, start.Name.Local, XSDNamespace)
-		}
-		return parseSchema(dec, start)
-	}
+	return parse(r, limits.Default())
 }
 
 // ParseString parses a schema from a string.
@@ -49,113 +25,129 @@ func ParseString(doc string) (*Schema, error) {
 	return Parse(strings.NewReader(doc))
 }
 
-// errf builds a parse error positioned at the decoder's current
-// offset.
-func errf(dec *limits.Decoder, format string, args ...any) error {
-	line, col := dec.Pos()
-	return &limits.PosError{Op: "xsd", Line: line, Col: col, Err: fmt.Errorf(format, args...)}
+// parse reads at most lim.MaxInputBytes bytes of a schema from r and
+// parses them under lim.
+func parse(r io.Reader, lim limits.Limits) (*Schema, error) {
+	data, err := xmlscan.ReadInput(r, lim.MaxInputBytes, "xsd")
+	if err != nil {
+		return nil, err
+	}
+	s := xmlscan.New(data, lim, "xsd")
+	if _, err := s.Next(); err != nil {
+		if err == io.EOF {
+			return nil, s.Errorf("no schema element found")
+		}
+		return nil, err
+	}
+	if !s.In(XSDNamespace) || !s.IsLocal("schema") {
+		return nil, s.Errorf("root element is {%s}%s, want {%s}schema", s.Space(), s.Local(), XSDNamespace)
+	}
+	return parseSchema(s)
 }
 
-func parseSchema(dec *limits.Decoder, start xml.StartElement) (*Schema, error) {
-	s := &Schema{}
-	for _, a := range start.Attr {
-		switch {
-		case a.Name.Space == "xmlns":
+// attr returns the decoded value of the current element's last
+// attribute with the given local name, whatever its namespace, or "".
+// The last one wins, as it would if each were assigned in turn.
+func attr(s *xmlscan.Scanner, local string) string {
+	for i := s.NumAttr() - 1; i >= 0; i-- {
+		if string(s.AttrLocal(i)) == local {
+			return string(s.AttrValue(i))
+		}
+	}
+	return ""
+}
+
+func parseSchema(s *xmlscan.Scanner) (*Schema, error) {
+	sch := &Schema{}
+	for i := 0; i < s.NumAttr(); i++ {
+		switch local, value := s.AttrLocal(i), s.AttrValue(i); {
+		case s.AttrIn(i, "xmlns"):
 			// The writer re-adds xmlns:xsd itself; keep every other
 			// prefixed declaration.
-			if !(a.Name.Local == "xsd" && a.Value == XSDNamespace) {
-				s.Namespaces = append(s.Namespaces, Namespace{Prefix: a.Name.Local, URI: a.Value})
+			if !(string(local) == "xsd" && string(value) == XSDNamespace) {
+				sch.Namespaces = append(sch.Namespaces, Namespace{Prefix: string(local), URI: string(value)})
 			}
-		case a.Name.Local == "xmlns" && a.Name.Space == "":
-			s.Namespaces = append(s.Namespaces, Namespace{Prefix: "", URI: a.Value})
-		case a.Name.Local == "targetNamespace":
-			s.TargetNamespace = a.Value
-		case a.Name.Local == "elementFormDefault":
-			s.ElementFormDefault = a.Value
-		case a.Name.Local == "attributeFormDefault":
-			s.AttributeFormDefault = a.Value
-		case a.Name.Local == "version":
-			s.Version = a.Value
+		case string(local) == "xmlns" && s.AttrIn(i, ""):
+			sch.Namespaces = append(sch.Namespaces, Namespace{Prefix: "", URI: string(value)})
+		case string(local) == "targetNamespace":
+			sch.TargetNamespace = string(value)
+		case string(local) == "elementFormDefault":
+			sch.ElementFormDefault = string(value)
+		case string(local) == "attributeFormDefault":
+			sch.AttributeFormDefault = string(value)
+		case string(local) == "version":
+			sch.Version = string(value)
 		}
 	}
 	for {
-		tok, err := dec.Token()
+		kind, err := s.Next()
 		if err != nil {
-			return nil, dec.Wrap("xsd", err)
+			return nil, err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Space != XSDNamespace {
-				if err := dec.Skip(); err != nil {
-					return nil, dec.Wrap("xsd", err)
-				}
-				continue
+		if kind == xmlscan.End {
+			return sch, nil
+		}
+		if !s.In(XSDNamespace) {
+			if err := s.Skip(); err != nil {
+				return nil, err
 			}
-			switch t.Name.Local {
-			case "import":
-				var imp Import
-				for _, a := range t.Attr {
-					switch a.Name.Local {
-					case "namespace":
-						imp.Namespace = a.Value
-					case "schemaLocation":
-						imp.SchemaLocation = a.Value
-					}
-				}
-				s.Imports = append(s.Imports, imp)
-				if err := dec.Skip(); err != nil {
-					return nil, err
-				}
-			case "element":
-				e, err := parseElement(dec, t)
-				if err != nil {
-					return nil, err
-				}
-				s.Elements = append(s.Elements, e)
-			case "complexType":
-				ct, err := parseComplexType(dec, t)
-				if err != nil {
-					return nil, err
-				}
-				s.ComplexTypes = append(s.ComplexTypes, ct)
-			case "simpleType":
-				st, err := parseSimpleType(dec, t)
-				if err != nil {
-					return nil, err
-				}
-				s.SimpleTypes = append(s.SimpleTypes, st)
-			case "annotation":
-				if err := dec.Skip(); err != nil {
-					return nil, err
-				}
-			default:
-				return nil, errf(dec, "unsupported schema child <xsd:%s>", t.Name.Local)
+			continue
+		}
+		switch string(s.Local()) {
+		case "import":
+			sch.Imports = append(sch.Imports, Import{
+				Namespace:      attr(s, "namespace"),
+				SchemaLocation: attr(s, "schemaLocation"),
+			})
+			err = s.Skip()
+		case "element":
+			var e *Element
+			if e, err = parseElement(s); err == nil {
+				sch.Elements = append(sch.Elements, e)
 			}
-		case xml.EndElement:
-			return s, nil
+		case "complexType":
+			var ct *ComplexType
+			if ct, err = parseComplexType(s); err == nil {
+				sch.ComplexTypes = append(sch.ComplexTypes, ct)
+			}
+		case "simpleType":
+			var st *SimpleType
+			if st, err = parseSimpleType(s); err == nil {
+				sch.SimpleTypes = append(sch.SimpleTypes, st)
+			}
+		case "annotation":
+			err = s.Skip()
+		default:
+			err = s.Errorf("unsupported schema child <xsd:%s>", s.Local())
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 }
 
-func parseOccurs(dec *limits.Decoder, attrs []xml.Attr) (Occurs, error) {
+// parseOccurs reads minOccurs and maxOccurs in document order; the first
+// malformed one fails.
+func parseOccurs(s *xmlscan.Scanner) (Occurs, error) {
 	o := Occurs{Min: 1, Max: 1}
 	explicit := false
-	for _, a := range attrs {
-		switch a.Name.Local {
+	for i := 0; i < s.NumAttr(); i++ {
+		switch string(s.AttrLocal(i)) {
 		case "minOccurs":
-			n, err := strconv.Atoi(a.Value)
+			v := string(s.AttrValue(i))
+			n, err := strconv.Atoi(v)
 			if err != nil || n < 0 {
-				return o, errf(dec, "invalid minOccurs %q", a.Value)
+				return o, s.Errorf("invalid minOccurs %q", v)
 			}
 			o.Min = n
 			explicit = true
 		case "maxOccurs":
-			if a.Value == "unbounded" {
+			if v := string(s.AttrValue(i)); v == "unbounded" {
 				o.Max = Unbounded
 			} else {
-				n, err := strconv.Atoi(a.Value)
+				n, err := strconv.Atoi(v)
 				if err != nil || n < 0 {
-					return o, errf(dec, "invalid maxOccurs %q", a.Value)
+					return o, s.Errorf("invalid maxOccurs %q", v)
 				}
 				o.Max = n
 			}
@@ -166,342 +158,253 @@ func parseOccurs(dec *limits.Decoder, attrs []xml.Attr) (Occurs, error) {
 	return o, nil
 }
 
-func parseElement(dec *limits.Decoder, start xml.StartElement) (*Element, error) {
+func parseElement(s *xmlscan.Scanner) (*Element, error) {
 	e := &Element{}
 	var err error
-	if e.Occurs, err = parseOccurs(dec, start.Attr); err != nil {
+	if e.Occurs, err = parseOccurs(s); err != nil {
 		return nil, err
 	}
-	for _, a := range start.Attr {
-		switch a.Name.Local {
-		case "name":
-			e.Name = a.Value
-		case "type":
-			e.Type = a.Value
-		case "ref":
-			e.Ref = a.Value
-		}
-	}
+	e.Name, e.Type, e.Ref = attr(s, "name"), attr(s, "type"), attr(s, "ref")
 	for {
-		tok, err := dec.Token()
+		kind, err := s.Next()
 		if err != nil {
-			return nil, dec.Wrap("xsd", err)
+			return nil, err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Space == XSDNamespace && t.Name.Local == "annotation" {
-				ann, err := parseAnnotation(dec)
-				if err != nil {
-					return nil, err
-				}
-				e.Annotation = ann
-				continue
-			}
-			return nil, errf(dec, "unsupported element child <%s> (anonymous types are not part of the NDR subset)", t.Name.Local)
-		case xml.EndElement:
+		if kind == xmlscan.End {
 			if e.Name == "" && e.Ref == "" {
-				return nil, errf(dec, "element without name or ref")
+				return nil, s.Errorf("element without name or ref")
 			}
 			return e, nil
 		}
+		if !s.In(XSDNamespace) || !s.IsLocal("annotation") {
+			return nil, s.Errorf("unsupported element child <%s> (anonymous types are not part of the NDR subset)", s.Local())
+		}
+		if e.Annotation, err = parseAnnotation(s); err != nil {
+			return nil, err
+		}
 	}
 }
 
-func parseAttribute(dec *limits.Decoder, start xml.StartElement) (*Attribute, error) {
-	a := &Attribute{}
-	for _, at := range start.Attr {
-		switch at.Name.Local {
-		case "name":
-			a.Name = at.Value
-		case "type":
-			a.Type = at.Value
-		case "use":
-			a.Use = at.Value
-		}
-	}
+func parseAttribute(s *xmlscan.Scanner) (*Attribute, error) {
+	a := &Attribute{Name: attr(s, "name"), Type: attr(s, "type"), Use: attr(s, "use")}
 	for {
-		tok, err := dec.Token()
+		kind, err := s.Next()
 		if err != nil {
-			return nil, dec.Wrap("xsd", err)
+			return nil, err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Space == XSDNamespace && t.Name.Local == "annotation" {
-				ann, err := parseAnnotation(dec)
-				if err != nil {
-					return nil, err
-				}
-				a.Annotation = ann
-				continue
-			}
-			if err := dec.Skip(); err != nil {
-				return nil, err
-			}
-		case xml.EndElement:
+		switch {
+		case kind == xmlscan.End:
 			if a.Name == "" {
-				return nil, errf(dec, "attribute without name")
+				return nil, s.Errorf("attribute without name")
 			}
 			return a, nil
+		case s.In(XSDNamespace) && s.IsLocal("annotation"):
+			a.Annotation, err = parseAnnotation(s)
+		default:
+			err = s.Skip()
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 }
 
-func parseComplexType(dec *limits.Decoder, start xml.StartElement) (*ComplexType, error) {
-	ct := &ComplexType{}
-	for _, a := range start.Attr {
-		if a.Name.Local == "name" {
-			ct.Name = a.Value
-		}
-	}
+func parseComplexType(s *xmlscan.Scanner) (*ComplexType, error) {
+	ct := &ComplexType{Name: attr(s, "name")}
 	for {
-		tok, err := dec.Token()
+		kind, err := s.Next()
 		if err != nil {
-			return nil, dec.Wrap("xsd", err)
+			return nil, err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Space != XSDNamespace {
-				if err := dec.Skip(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			switch t.Name.Local {
-			case "sequence":
-				seq, err := parseSequence(dec)
-				if err != nil {
-					return nil, err
-				}
-				ct.Sequence = seq
-			case "simpleContent":
-				sc, err := parseSimpleContent(dec)
-				if err != nil {
-					return nil, err
-				}
-				ct.SimpleContent = sc
-			case "annotation":
-				ann, err := parseAnnotation(dec)
-				if err != nil {
-					return nil, err
-				}
-				ct.Annotation = ann
-			default:
-				return nil, errf(dec, "unsupported complexType child <xsd:%s>", t.Name.Local)
-			}
-		case xml.EndElement:
+		if kind == xmlscan.End {
 			if ct.Name == "" {
-				return nil, errf(dec, "anonymous complex types are not part of the NDR subset")
+				return nil, s.Errorf("anonymous complex types are not part of the NDR subset")
 			}
 			return ct, nil
 		}
+		if !s.In(XSDNamespace) {
+			err = s.Skip()
+		} else {
+			switch string(s.Local()) {
+			case "sequence":
+				ct.Sequence, err = parseSequence(s)
+			case "simpleContent":
+				ct.SimpleContent, err = parseSimpleContent(s)
+			case "annotation":
+				ct.Annotation, err = parseAnnotation(s)
+			default:
+				err = s.Errorf("unsupported complexType child <xsd:%s>", s.Local())
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 }
 
-func parseSequence(dec *limits.Decoder) ([]*Element, error) {
+func parseSequence(s *xmlscan.Scanner) ([]*Element, error) {
 	var seq []*Element
 	for {
-		tok, err := dec.Token()
+		kind, err := s.Next()
 		if err != nil {
-			return nil, dec.Wrap("xsd", err)
+			return nil, err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Space == XSDNamespace && t.Name.Local == "element" {
-				e, err := parseElement(dec, t)
-				if err != nil {
-					return nil, err
-				}
-				seq = append(seq, e)
-				continue
-			}
-			return nil, errf(dec, "unsupported sequence child <%s>", t.Name.Local)
-		case xml.EndElement:
+		if kind == xmlscan.End {
 			return seq, nil
 		}
+		if !s.In(XSDNamespace) || !s.IsLocal("element") {
+			return nil, s.Errorf("unsupported sequence child <%s>", s.Local())
+		}
+		e, err := parseElement(s)
+		if err != nil {
+			return nil, err
+		}
+		seq = append(seq, e)
 	}
 }
 
-func parseSimpleContent(dec *limits.Decoder) (*SimpleContent, error) {
+func parseSimpleContent(s *xmlscan.Scanner) (*SimpleContent, error) {
 	sc := &SimpleContent{}
 	for {
-		tok, err := dec.Token()
+		kind, err := s.Next()
 		if err != nil {
-			return nil, dec.Wrap("xsd", err)
+			return nil, err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Space == XSDNamespace && t.Name.Local == "extension" {
-				ext := &Extension{}
-				for _, a := range t.Attr {
-					if a.Name.Local == "base" {
-						ext.Base = a.Value
-					}
-				}
-				if err := parseExtensionBody(dec, ext); err != nil {
-					return nil, err
-				}
-				sc.Extension = ext
-				continue
-			}
-			return nil, errf(dec, "unsupported simpleContent child <%s>", t.Name.Local)
-		case xml.EndElement:
+		if kind == xmlscan.End {
 			if sc.Extension == nil {
-				return nil, errf(dec, "simpleContent without extension")
+				return nil, s.Errorf("simpleContent without extension")
 			}
 			return sc, nil
 		}
+		if !s.In(XSDNamespace) || !s.IsLocal("extension") {
+			return nil, s.Errorf("unsupported simpleContent child <%s>", s.Local())
+		}
+		ext := &Extension{Base: attr(s, "base")}
+		if err := parseExtensionBody(s, ext); err != nil {
+			return nil, err
+		}
+		sc.Extension = ext
 	}
 }
 
-func parseExtensionBody(dec *limits.Decoder, ext *Extension) error {
+func parseExtensionBody(s *xmlscan.Scanner, ext *Extension) error {
 	for {
-		tok, err := dec.Token()
+		kind, err := s.Next()
 		if err != nil {
-			return dec.Wrap("xsd", err)
+			return err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Space == XSDNamespace && t.Name.Local == "attribute" {
-				a, err := parseAttribute(dec, t)
-				if err != nil {
-					return err
-				}
-				ext.Attributes = append(ext.Attributes, a)
-				continue
-			}
-			return errf(dec, "unsupported extension child <%s>", t.Name.Local)
-		case xml.EndElement:
+		if kind == xmlscan.End {
 			return nil
 		}
+		if !s.In(XSDNamespace) || !s.IsLocal("attribute") {
+			return s.Errorf("unsupported extension child <%s>", s.Local())
+		}
+		a, err := parseAttribute(s)
+		if err != nil {
+			return err
+		}
+		ext.Attributes = append(ext.Attributes, a)
 	}
 }
 
-func parseSimpleType(dec *limits.Decoder, start xml.StartElement) (*SimpleType, error) {
-	st := &SimpleType{}
-	for _, a := range start.Attr {
-		if a.Name.Local == "name" {
-			st.Name = a.Value
-		}
-	}
+func parseSimpleType(s *xmlscan.Scanner) (*SimpleType, error) {
+	st := &SimpleType{Name: attr(s, "name")}
 	for {
-		tok, err := dec.Token()
+		kind, err := s.Next()
 		if err != nil {
-			return nil, dec.Wrap("xsd", err)
+			return nil, err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Space != XSDNamespace {
-				if err := dec.Skip(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			switch t.Name.Local {
-			case "restriction":
-				r, err := parseRestriction(dec, t)
-				if err != nil {
-					return nil, err
-				}
-				st.Restriction = r
-			case "annotation":
-				ann, err := parseAnnotation(dec)
-				if err != nil {
-					return nil, err
-				}
-				st.Annotation = ann
-			default:
-				return nil, errf(dec, "unsupported simpleType child <xsd:%s>", t.Name.Local)
-			}
-		case xml.EndElement:
+		if kind == xmlscan.End {
 			if st.Name == "" {
-				return nil, errf(dec, "anonymous simple types are not part of the NDR subset")
+				return nil, s.Errorf("anonymous simple types are not part of the NDR subset")
 			}
 			return st, nil
 		}
+		if !s.In(XSDNamespace) {
+			err = s.Skip()
+		} else {
+			switch string(s.Local()) {
+			case "restriction":
+				st.Restriction, err = parseRestriction(s)
+			case "annotation":
+				st.Annotation, err = parseAnnotation(s)
+			default:
+				err = s.Errorf("unsupported simpleType child <xsd:%s>", s.Local())
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 }
 
-func parseRestriction(dec *limits.Decoder, start xml.StartElement) (*Restriction, error) {
-	r := &Restriction{}
-	for _, a := range start.Attr {
-		if a.Name.Local == "base" {
-			r.Base = a.Value
-		}
-	}
-	facetValue := func(t xml.StartElement) string {
-		for _, a := range t.Attr {
-			if a.Name.Local == "value" {
-				return a.Value
-			}
-		}
-		return ""
-	}
+// parseRestriction reads a restriction's facets, matched by local name
+// in any namespace; a facet's value is its first value attribute.
+func parseRestriction(s *xmlscan.Scanner) (*Restriction, error) {
+	r := &Restriction{Base: attr(s, "base")}
 	for {
-		tok, err := dec.Token()
+		kind, err := s.Next()
 		if err != nil {
-			return nil, dec.Wrap("xsd", err)
+			return nil, err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			v := facetValue(t)
-			switch t.Name.Local {
-			case "enumeration":
-				r.Enumerations = append(r.Enumerations, v)
-			case "pattern":
-				r.Pattern = v
-			case "minLength":
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					return nil, errf(dec, "invalid minLength %q", v)
-				}
-				r.MinLength = &n
-			case "maxLength":
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					return nil, errf(dec, "invalid maxLength %q", v)
-				}
-				r.MaxLength = &n
-			default:
-				return nil, errf(dec, "unsupported restriction facet <%s>", t.Name.Local)
-			}
-			if err := dec.Skip(); err != nil {
-				return nil, err
-			}
-		case xml.EndElement:
+		if kind == xmlscan.End {
 			return r, nil
+		}
+		v := string(s.Attr("value"))
+		switch string(s.Local()) {
+		case "enumeration":
+			r.Enumerations = append(r.Enumerations, v)
+		case "pattern":
+			r.Pattern = v
+		case "minLength", "maxLength":
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				return nil, s.Errorf("invalid %s %q", s.Local(), v)
+			}
+			if s.IsLocal("minLength") {
+				r.MinLength = &n
+			} else {
+				r.MaxLength = &n
+			}
+		default:
+			return nil, s.Errorf("unsupported restriction facet <%s>", s.Local())
+		}
+		if err := s.Skip(); err != nil {
+			return nil, err
 		}
 	}
 }
 
 // parseAnnotation reads an annotation, collecting the ccts documentation
-// entries (any namespaced child of xsd:documentation).
-func parseAnnotation(dec *limits.Decoder) (*Annotation, error) {
+// entries (any namespaced child of xsd:documentation). An entry's value
+// is its text with surrounding space trimmed; the text of an entry
+// nested in another belongs to the inner one only.
+func parseAnnotation(s *xmlscan.Scanner) (*Annotation, error) {
 	ann := &Annotation{}
 	depth := 1
 	var currentTag string
-	var text strings.Builder
+	var text []byte
 	for depth > 0 {
-		tok, err := dec.Token()
+		kind, err := s.Next()
 		if err != nil {
-			return nil, dec.Wrap("xsd", err)
+			return nil, err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
+		if currentTag != "" {
+			text = s.AppendText(text)
+		}
+		switch kind {
+		case xmlscan.Start:
 			depth++
-			if t.Name.Space != XSDNamespace {
-				currentTag = t.Name.Local
-				text.Reset()
+			if !s.In(XSDNamespace) {
+				currentTag = string(s.Local())
+				text = text[:0]
 			}
-		case xml.CharData:
-			if currentTag != "" {
-				text.Write(t)
-			}
-		case xml.EndElement:
+		case xmlscan.End:
 			depth--
-			if currentTag != "" && t.Name.Local == currentTag {
+			if currentTag != "" && s.IsLocal(currentTag) {
 				ann.Documentation = append(ann.Documentation, DocEntry{
 					Tag:   currentTag,
-					Value: strings.TrimSpace(text.String()),
+					Value: string(bytes.TrimSpace(text)),
 				})
 				currentTag = ""
 			}
