@@ -107,6 +107,8 @@ func TestGoIdent(t *testing.T) {
 		"EB005-HoardingPermit":  "EB005HoardingPermit",
 		"lower case":            "LowerCase",
 		"9lives":                "N9lives",
+		"_u_erePartner":         "X_U_ErePartner",
+		"__":                    "X__",
 		"":                      "X",
 		"CodeListName":          "CodeListName",
 	}

@@ -3,6 +3,10 @@ package ccts_test
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -473,4 +477,43 @@ func TestEnumerationLiteralWithBackslash(t *testing.T) {
 		}
 	}
 	t.Fatal("no enumeration of CountryType_Code found")
+}
+
+// TestGoGoldensExportEveryField parses every Go bindings golden and
+// requires each struct field to be exported: encoding/xml skips an
+// unexported field without an error, so its element would be lost.
+func TestGoGoldensExportEveryField(t *testing.T) {
+	var files []string
+	err := filepath.WalkDir("testdata/golden", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, ".go.golden") {
+			files = append(files, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) < 4 {
+		t.Fatalf("found %d Go goldens, want every run's", len(files))
+	}
+	for _, path := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				for _, name := range field.Names {
+					if !name.IsExported() {
+						t.Errorf("%s: struct field %s is not exported", path, name.Name)
+					}
+				}
+			}
+			return true
+		})
+	}
 }
