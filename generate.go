@@ -8,9 +8,9 @@ import (
 	"os"
 	"path/filepath"
 
+	"github.com/go-ccts/ccts/internal/core"
 	"github.com/go-ccts/ccts/internal/gen"
 	"github.com/go-ccts/ccts/internal/limits"
-	"github.com/go-ccts/ccts/internal/ndr"
 	"github.com/go-ccts/ccts/internal/xsd"
 	"github.com/go-ccts/ccts/internal/xsdval"
 )
@@ -57,7 +57,7 @@ func GenerateDocument(lib *Library, rootABIE string, opts GenerateOptions) (*Gen
 
 // SchemaFileName returns the file name the generator uses for a
 // library's schema (e.g. "CommonAggregates_0.1.xsd").
-func SchemaFileName(lib *Library) string { return ndr.SchemaFileName(lib) }
+func SchemaFileName(lib *Library) string { return core.SchemaFileName(lib) }
 
 // WriteSchemas writes every generated schema into dir, creating it if
 // needed, and returns the written file paths in generation order. The

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/go-ccts/ccts/internal/core"
 	"github.com/go-ccts/ccts/internal/fixture"
-	"github.com/go-ccts/ccts/internal/ndr"
 	"github.com/go-ccts/ccts/internal/xsd"
 )
 
@@ -275,7 +275,7 @@ func TestFigure8CDTSchema(t *testing.T) {
 	}
 	// Every catalog CDT gets a complexType.
 	for _, cdt := range f.Catalog.CDTLibrary.CDTs {
-		if s.ComplexType(ndr.TypeName(cdt.Name)) == nil {
+		if s.ComplexType(core.TypeName(cdt.Name)) == nil {
 			t.Errorf("missing complexType for CDT %s", cdt.Name)
 		}
 	}

@@ -298,7 +298,7 @@ func (pl *planner) importLibrary(u *Unit, usingLib, target *core.Library) error 
 		return nil
 	}
 	pl.imported[u][ns] = true
-	loc := ndr.SchemaLocation(pl.opts.SchemaLocationPrefix, target)
+	loc := core.SchemaLocation(pl.opts.SchemaLocationPrefix, target)
 	if override, ok := pl.opts.Profile.Import(ns); ok {
 		loc = override
 	}

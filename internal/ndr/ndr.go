@@ -1,15 +1,14 @@
-// Package ndr implements the UN/CEFACT XML Naming and Design Rules as
-// applied by the paper's XSD generator (Section 4): XML name derivation,
-// the "Type" suffix for complex types, compound ASBIE element names (role
-// name + target ABIE name), required/optional attribute use for
-// supplementary components, target namespaces from the baseURN tagged
-// value, user-defined and auto-numbered namespace prefixes (cdt1, qdt1,
-// bie2, ...), schema file naming, the primitive-to-XSD-builtin mapping
-// and the CCTS annotation blocks.
+// Package ndr implements the parts of the UN/CEFACT XML Naming and
+// Design Rules, as applied by the paper's XSD generator (Section 4), that
+// go beyond naming single model elements: user-defined and auto-numbered
+// namespace prefixes (cdt1, qdt1, bie2, ...), the primitive-to-XSD-builtin
+// mapping and the CCTS annotation blocks.
 //
-// The pure naming primitives live in internal/core (next to the typed
-// model, where the Resolve phase memoizes them in a core.ModelIndex);
-// this package re-exports them so callers keep a single NDR entry point.
+// The naming primitives themselves (XML names, the "Type" suffix,
+// compound ASBIE element names, attribute use, schema file names and
+// locations) live in internal/core, next to the typed model, where the
+// Resolve phase memoizes them in a core.ModelIndex; callers use them
+// there.
 package ndr
 
 import (
@@ -19,34 +18,6 @@ import (
 	"github.com/go-ccts/ccts/internal/core"
 	"github.com/go-ccts/ccts/internal/xsd"
 )
-
-// XMLName turns a model element name into a legal XML NCName; see
-// core.XMLName.
-func XMLName(name string) string { return core.XMLName(name) }
-
-// TypeName derives the complex/simple type name (XML name plus the Type
-// postfix); see core.TypeName.
-func TypeName(name string) string { return core.TypeName(name) }
-
-// ASBIEElementName composes the element name of an ASBIE (role name plus
-// target ABIE name); see core.ASBIEElementName.
-func ASBIEElementName(role, targetABIE string) string {
-	return core.ASBIEElementName(role, targetABIE)
-}
-
-// AttributeUse maps a supplementary component cardinality to the XSD
-// attribute use; see core.AttributeUse.
-func AttributeUse(card core.Cardinality) string { return core.AttributeUse(card) }
-
-// SchemaFileName derives the generated file name for a library's schema;
-// see core.SchemaFileName.
-func SchemaFileName(lib *core.Library) string { return core.SchemaFileName(lib) }
-
-// SchemaLocation builds the schemaLocation for an import; see
-// core.SchemaLocation.
-func SchemaLocation(dirPrefix string, lib *core.Library) string {
-	return core.SchemaLocation(dirPrefix, lib)
-}
 
 // primToXSD maps CCTS primitives to XML Schema built-in types ("Where
 // primitive types are needed (String, Integer ...) the build-in types of

@@ -8,59 +8,6 @@ import (
 	"github.com/go-ccts/ccts/internal/fixture"
 )
 
-func TestXMLName(t *testing.T) {
-	cases := map[string]string{
-		"HoardingPermit":        "HoardingPermit",
-		"Person_Identification": "Person_Identification",
-		"EB005-HoardingPermit":  "EB005-HoardingPermit",
-		"Date of Birth":         "DateofBirth",
-		"Code. Type":            "CodeType",
-		"9Lives":                "_9Lives",
-		"-lead":                 "_-lead",
-		"with:colon":            "with_colon",
-		"":                      "_",
-		"...":                   "_",
-	}
-	for in, want := range cases {
-		if got := XMLName(in); got != want {
-			t.Errorf("XMLName(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestTypeName(t *testing.T) {
-	if got := TypeName("HoardingPermit"); got != "HoardingPermitType" {
-		t.Errorf("TypeName = %q", got)
-	}
-	if got := TypeName("Indicator_Code"); got != "Indicator_CodeType" {
-		t.Errorf("TypeName = %q", got)
-	}
-}
-
-func TestASBIEElementName(t *testing.T) {
-	cases := []struct{ role, target, want string }{
-		{"Included", "Attachment", "IncludedAttachment"},
-		{"Current", "Application", "CurrentApplication"},
-		{"Included", "Registration", "IncludedRegistration"},
-		{"Billing", "Person_Identification", "BillingPerson_Identification"},
-		{"Assigned", "Address", "AssignedAddress"},
-	}
-	for _, c := range cases {
-		if got := ASBIEElementName(c.role, c.target); got != c.want {
-			t.Errorf("ASBIEElementName(%q,%q) = %q, want %q", c.role, c.target, got, c.want)
-		}
-	}
-}
-
-func TestAttributeUse(t *testing.T) {
-	if AttributeUse(core.Cardinality{Lower: 1, Upper: 1}) != "required" {
-		t.Error("1 should be required")
-	}
-	if AttributeUse(core.Cardinality{Lower: 0, Upper: 1}) != "optional" {
-		t.Error("0..1 should be optional")
-	}
-}
-
 func TestXSDBuiltin(t *testing.T) {
 	f := fixture.MustBuildFigure1()
 	cases := map[string]string{
@@ -124,34 +71,6 @@ func TestPrefixAllocatorClash(t *testing.T) {
 	}
 	if pa != "shared" {
 		t.Errorf("first library should keep its prefix, got %q", pa)
-	}
-}
-
-func TestSchemaFileName(t *testing.T) {
-	f := fixture.MustBuildHoardingPermit()
-	if got := SchemaFileName(f.DOCLib); got != "EB005-HoardingPermit_0.4.xsd" {
-		t.Errorf("file name = %q", got)
-	}
-	noVersion := &core.Library{Name: "Plain"}
-	if got := SchemaFileName(noVersion); got != "Plain.xsd" {
-		t.Errorf("file name = %q", got)
-	}
-	weird := &core.Library{Name: "a b/c", Version: "1 0"}
-	if got := SchemaFileName(weird); got != "a_b_c_1_0.xsd" {
-		t.Errorf("file name = %q", got)
-	}
-}
-
-func TestSchemaLocation(t *testing.T) {
-	lib := &core.Library{Name: "X", Version: "1.0"}
-	if got := SchemaLocation("", lib); got != "X_1.0.xsd" {
-		t.Errorf("location = %q", got)
-	}
-	if got := SchemaLocation("../schemas", lib); got != "../schemas/X_1.0.xsd" {
-		t.Errorf("location = %q", got)
-	}
-	if got := SchemaLocation("../schemas/", lib); got != "../schemas/X_1.0.xsd" {
-		t.Errorf("trailing slash: %q", got)
 	}
 }
 
