@@ -85,18 +85,24 @@ bench-diff:
 # fuzz-smoke runs every fuzz target briefly against its seed corpus plus
 # whatever the engine mutates in FUZZTIME. It is a smoke test of the
 # ingestion hardening (resource limits, DTD rejection, truncation), not
-# a soak: raise FUZZTIME for a real fuzzing session.
+# a soak: raise FUZZTIME for a real fuzzing session. Minimising a new
+# input is bounded to 2s: go test's default of 60s outlasts FUZZTIME, so
+# a target that found new coverage early spent the rest of its run
+# minimising it (FuzzImport ran 121 inputs in 10s, and 19,445 with the
+# bound, on 2 vCPUs).
+FUZZFLAGS = -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
+
 fuzz-smoke:
-	$(GO) test ./internal/xmi -run='^$$' -fuzz=FuzzImport -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/xsd -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/xsdval -run='^$$' -fuzz=FuzzValidateInstance -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/ocl -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/profile -run='^$$' -fuzz=FuzzConstraintOracle -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/gen -run='^$$' -fuzz=FuzzProfileJSON -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/jsonschema -run='^$$' -fuzz=FuzzJSONSchemaWriter -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/repo -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/durable -run='^$$' -fuzz=FuzzScan -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/shard -run='^$$' -fuzz=FuzzShardMapJSON -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/xmi -run='^$$' -fuzz=FuzzImport $(FUZZFLAGS)
+	$(GO) test ./internal/xsd -run='^$$' -fuzz=FuzzParse $(FUZZFLAGS)
+	$(GO) test ./internal/xsdval -run='^$$' -fuzz=FuzzValidateInstance $(FUZZFLAGS)
+	$(GO) test ./internal/ocl -run='^$$' -fuzz=FuzzParse $(FUZZFLAGS)
+	$(GO) test ./internal/profile -run='^$$' -fuzz=FuzzConstraintOracle $(FUZZFLAGS)
+	$(GO) test ./internal/gen -run='^$$' -fuzz=FuzzProfileJSON $(FUZZFLAGS)
+	$(GO) test ./internal/jsonschema -run='^$$' -fuzz=FuzzJSONSchemaWriter $(FUZZFLAGS)
+	$(GO) test ./internal/repo -run='^$$' -fuzz=FuzzWALDecode $(FUZZFLAGS)
+	$(GO) test ./internal/durable -run='^$$' -fuzz=FuzzScan $(FUZZFLAGS)
+	$(GO) test ./internal/shard -run='^$$' -fuzz=FuzzShardMapJSON $(FUZZFLAGS)
 
 # chaos-smoke replays the disk-fault soak on its own: ENOSPC injected
 # mid-publish under concurrent load must flip the service read-only

@@ -6,7 +6,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
+
+	"github.com/go-ccts/ccts/internal/schemacache"
 )
 
 // benchBody renders the paper's example model once per benchmark run.
@@ -19,20 +22,33 @@ func benchBody(b *testing.B) []byte {
 // memoized /v1/generate: content addressing plus response assembly,
 // with no import and no emit. The acceptance bar is >= 10x below
 // BenchmarkServeCacheMiss.
-func BenchmarkServeCacheHit(b *testing.B) {
+func BenchmarkServeCacheHit(b *testing.B) { benchHit(b, docQuery) }
+
+// BenchmarkServeCacheHitMultipart is BenchmarkServeCacheHit answering
+// multipart/mixed instead of a zip.
+func BenchmarkServeCacheHitMultipart(b *testing.B) { benchHit(b, docQuery+"&format=multipart") }
+
+// warmServer returns a server whose cache holds the answer to query.
+func warmServer(b *testing.B, query string) (*Server, http.Handler, []byte) {
+	b.Helper()
 	s := New(Config{})
 	h := s.Handler()
 	body := benchBody(b)
-	warm := httptest.NewRequest(http.MethodPost, "/v1/generate?"+docQuery, bytes.NewReader(body))
+	warm := httptest.NewRequest(http.MethodPost, "/v1/generate?"+query, bytes.NewReader(body))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, warm)
 	if rec.Code != http.StatusOK {
 		b.Fatalf("warmup: %d %s", rec.Code, rec.Body.String())
 	}
 	b.SetBytes(int64(len(body)))
+	return s, h, body
+}
+
+func benchHit(b *testing.B, query string) {
+	s, h, body := warmServer(b, query)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/v1/generate?"+docQuery, bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, "/v1/generate?"+query, bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
@@ -42,6 +58,45 @@ func BenchmarkServeCacheHit(b *testing.B) {
 	b.StopTimer()
 	if st := s.cache.Stats(); st.Hits != int64(b.N) {
 		b.Fatalf("hits = %d, want %d (cache not exercised)", st.Hits, b.N)
+	}
+}
+
+// BenchmarkServeCacheHitParallel runs zip hits on one key from
+// GOMAXPROCS goroutines at once, so the cache lock, the shared counters
+// and the pooled body writers contend.
+func BenchmarkServeCacheHitParallel(b *testing.B) {
+	s, h, body := warmServer(b, docQuery)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			req := httptest.NewRequest(http.MethodPost, "/v1/generate?"+docQuery, bytes.NewReader(body))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				b.Errorf("status %d", rec.Code)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	if st := s.cache.Stats(); st.Misses != 1 {
+		b.Fatalf("misses = %d, want only the warm-up's", st.Misses)
+	}
+}
+
+// BenchmarkServeContentKey measures the content key of the bench body
+// alone: canonicalization and SHA-256, the floor under every hit.
+func BenchmarkServeContentKey(b *testing.B) {
+	body := benchBody(b)
+	params, aerr := parseGenParams(url.Values{"library": {"EB005-HoardingPermit"}, "root": {"HoardingPermit"}})
+	if aerr != nil {
+		b.Fatal(aerr.Message)
+	}
+	fp := params.fingerprint()
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		schemacache.Key(body, fp)
 	}
 }
 

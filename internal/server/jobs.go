@@ -211,9 +211,7 @@ func (s *Server) executeJobItem(ctx context.Context, item jobs.ItemSpec, model [
 		return nil, err
 	}
 	s.genOutcomes[params.Target][outcome].Inc()
-	var buf bytes.Buffer
-	writeZipTo(&buf, val)
-	return buf.Bytes(), nil
+	return zipBytes(val)
 }
 
 // requireJobs answers the endpoint-family-absent 404 when no manager is
@@ -517,9 +515,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, mapJobError(jerr))
 			return
 		}
-		w.Header().Set("Content-Type", "application/zip")
-		w.Header().Set("Content-Disposition", fmt.Sprintf(`attachment; filename="%s.zip"`, sanitizeEntry(item.Name)))
-		w.Write(item.Zip)
+		writeStored(w, fmt.Sprintf(`attachment; filename="%s.zip"`, sanitizeEntry(item.Name)), item.Zip)
 		return
 	}
 
@@ -529,30 +525,28 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(results) == 1 {
-		w.Header().Set("Content-Type", "application/zip")
-		w.Header().Set("Content-Disposition", `attachment; filename="schemas.zip"`)
-		w.Write(results[0].Zip)
+		writeStored(w, `attachment; filename="schemas.zip"`, results[0].Zip)
 		return
 	}
-	w.Header().Set("Content-Type", "application/zip")
-	w.Header().Set("Content-Disposition", fmt.Sprintf(`attachment; filename="%s.zip"`, snap.ID))
-	zw := zip.NewWriter(w)
+	summary, err := json.Marshal(toJSONJob(snap, true))
+	if err != nil {
+		s.writeError(w, &apiError{Status: http.StatusInternalServerError, Code: "archive", Message: err.Error()})
+		return
+	}
+	a := archive{last: schemacache.NewFile(jobManifestName, summary)}
 	for _, res := range results {
-		name := fmt.Sprintf("%03d-%s.zip", res.Index, sanitizeEntry(res.Name))
-		fw, err := zw.CreateHeader(&zip.FileHeader{Name: name, Method: zip.Store})
-		if err != nil {
-			return
-		}
-		if _, err := fw.Write(res.Zip); err != nil {
-			return
-		}
+		a.files = append(a.files, schemacache.NewFile(fmt.Sprintf("%03d-%s.zip", res.Index, sanitizeEntry(res.Name)), res.Zip))
 	}
-	if summary, err := json.Marshal(toJSONJob(snap, true)); err == nil {
-		if fw, err := zw.CreateHeader(&zip.FileHeader{Name: jobManifestName, Method: zip.Store}); err == nil {
-			fw.Write(summary)
-		}
-	}
-	zw.Close()
+	s.writeArchive(w, "application/zip", fmt.Sprintf(`attachment; filename="%s.zip"`, snap.ID), a)
+}
+
+// writeStored answers an item archive the job manager stored.
+func writeStored(w http.ResponseWriter, disposition string, zip []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/zip")
+	h.Set("Content-Disposition", disposition)
+	h.Set("Content-Length", strconv.Itoa(len(zip)))
+	w.Write(zip)
 }
 
 // sanitizeEntry restricts a client-chosen name to a safe archive entry

@@ -18,7 +18,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/go-ccts/ccts/internal/backends"
 	"github.com/go-ccts/ccts/internal/jobs"
+	"github.com/go-ccts/ccts/internal/schemacache"
 )
 
 // newJobServer builds a Server over a fresh job manager rooted at dir.
@@ -114,40 +116,47 @@ func waitJobState(t *testing.T, h http.Handler, id string, want jobs.State) json
 	return jsonJob{}
 }
 
-// TestJobsSingleModelByteIdenticalToSync submits one raw model through
-// the async path and asserts the stored result archive is byte-for-byte
-// the synchronous /v1/generate response for the same model and options.
+// TestJobsSingleModelByteIdenticalToSync submits one raw model per
+// target through the async path and asserts each stored result archive
+// is byte-for-byte the synchronous /v1/generate response for the same
+// model and options, and the result answers with its Content-Length.
 func TestJobsSingleModelByteIdenticalToSync(t *testing.T) {
 	s, mgr := newJobServer(t, t.TempDir(), Config{}, jobs.Config{Workers: 2})
 	defer mgr.Close(context.Background())
 	h := s.Handler()
 	body := sampleXMI(t)
 
-	doc, rec := postJob(t, h, body, docQuery+"&name=single")
-	if rec.Code != http.StatusAccepted {
-		t.Fatalf("submit = %d, body %s", rec.Code, rec.Body.String())
-	}
-	if doc.ID == "" || doc.Total != 1 {
-		t.Fatalf("job doc: %+v", doc)
-	}
-	if loc := rec.Header().Get("Location"); loc != "/v1/jobs/"+doc.ID {
-		t.Errorf("Location = %q", loc)
-	}
-	waitJobState(t, h, doc.ID, jobs.Completed)
+	for _, target := range backends.Targets() {
+		query := docQuery + "&target=" + target
+		doc, rec := postJob(t, h, body, query+"&name=single")
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("%s: submit = %d, body %s", target, rec.Code, rec.Body.String())
+		}
+		if doc.ID == "" || doc.Total != 1 {
+			t.Fatalf("%s: job doc: %+v", target, doc)
+		}
+		if loc := rec.Header().Get("Location"); loc != "/v1/jobs/"+doc.ID {
+			t.Errorf("%s: Location = %q", target, loc)
+		}
+		waitJobState(t, h, doc.ID, jobs.Completed)
 
-	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+doc.ID+"/result", nil)
-	res := httptest.NewRecorder()
-	h.ServeHTTP(res, req)
-	if res.Code != http.StatusOK {
-		t.Fatalf("result = %d, body %s", res.Code, res.Body.String())
-	}
+		req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+doc.ID+"/result", nil)
+		res := httptest.NewRecorder()
+		h.ServeHTTP(res, req)
+		if res.Code != http.StatusOK {
+			t.Fatalf("%s: result = %d, body %s", target, res.Code, res.Body.String())
+		}
+		if cl := res.Header().Get("Content-Length"); cl != strconv.Itoa(res.Body.Len()) {
+			t.Errorf("%s: result Content-Length %q for %d bytes", target, cl, res.Body.Len())
+		}
 
-	sync := postGenerate(t, h, body, docQuery)
-	if sync.Code != http.StatusOK {
-		t.Fatalf("sync generate = %d", sync.Code)
-	}
-	if !bytes.Equal(res.Body.Bytes(), sync.Body.Bytes()) {
-		t.Fatal("async result archive differs from synchronous /v1/generate response")
+		sync := postGenerate(t, h, body, query)
+		if sync.Code != http.StatusOK {
+			t.Fatalf("%s: sync generate = %d", target, sync.Code)
+		}
+		if !bytes.Equal(res.Body.Bytes(), sync.Body.Bytes()) {
+			t.Fatalf("%s: async result archive differs from synchronous /v1/generate response", target)
+		}
 	}
 }
 
@@ -201,6 +210,19 @@ func TestJobsBatchZipSubmission(t *testing.T) {
 	outer := readZip(t, res.Body.Bytes())
 	if len(outer) != 4 {
 		t.Fatalf("outer entries: %v", keys(outer))
+	}
+	// The outer archive is what archive/zip writes for its entries.
+	zr, err := zip.NewReader(bytes.NewReader(res.Body.Bytes()), int64(res.Body.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries archive
+	for _, f := range zr.File {
+		entries.files = append(entries.files, schemacache.NewFile(f.Name, outer[f.Name]))
+	}
+	entries.last, entries.files = entries.files[len(entries.files)-1], entries.files[:len(entries.files)-1]
+	if !bytes.Equal(res.Body.Bytes(), oracleArchive(t, entries)) {
+		t.Error("outer archive differs from the archive/zip rendering of its entries")
 	}
 	for i, q := range []string{
 		docQuery,

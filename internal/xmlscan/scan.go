@@ -25,6 +25,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -118,13 +119,13 @@ func New(data []byte, lim limits.Limits, op string) *Scanner {
 }
 
 // ReadInput reads r to its end, or to its first max bytes when max is
-// positive, into a buffer sized from r's Len when it has one. A read
-// error fails the read, wherever in the input it occurs; op names the
-// reader in it.
+// positive, into a buffer sized from what r says it holds: its Len when
+// it has one, the unread rest of a regular file. Other readers, pipes
+// among them, grow the buffer as they deliver. A read error fails the
+// read, wherever in the input it occurs; op names the reader in it.
 func ReadInput(r io.Reader, max int64, op string) ([]byte, error) {
 	var buf bytes.Buffer
-	if l, ok := r.(interface{ Len() int }); ok {
-		n := int64(l.Len())
+	if n, ok := inputLen(r); ok {
 		if max > 0 {
 			n = min(n, max)
 		}
@@ -137,6 +138,25 @@ func ReadInput(r io.Reader, max int64, op string) ([]byte, error) {
 		return nil, fmt.Errorf("%s: reading input: %w", op, err)
 	}
 	return buf.Bytes(), nil
+}
+
+// inputLen returns the number of bytes r holds, if it can tell.
+func inputLen(r io.Reader) (int64, bool) {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len()), true
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return 0, false
+		}
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return 0, false
+		}
+		return max(fi.Size()-off, 0), true
+	}
+	return 0, false
 }
 
 // posAt returns the 1-based line:col of offset off. Newlines are counted

@@ -1,10 +1,13 @@
 package xmlscan_test
 
 import (
+	"bytes"
 	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -136,6 +139,54 @@ func TestReadInputStopsAtLimit(t *testing.T) {
 	_, err = xmlscan.ReadInput(io.MultiReader(strings.NewReader("<a>"), errReader{}), 0, "xsdval")
 	if err == nil || !strings.HasPrefix(err.Error(), "xsdval: reading input: ") {
 		t.Errorf("read error = %v, want it named after the reader", err)
+	}
+}
+
+// TestReadInputFiles: a regular file is read from its offset to its
+// end, or to the limit, into one buffer of that size; a pipe, which
+// has no size, is read whole all the same.
+func TestReadInputFiles(t *testing.T) {
+	content := strings.Repeat("<a/>\n", 200<<10)
+	path := filepath.Join(t.TempDir(), "in.xml")
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, tc := range []struct {
+		offset, max int64
+		want        string
+	}{
+		{5, 0, content[5:]},
+		{0, 100, content[:100]},
+	} {
+		if _, err := f.Seek(tc.offset, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		data, err := xmlscan.ReadInput(f, tc.max, "xsd")
+		if err != nil || string(data) != tc.want {
+			t.Fatalf("offset %d, max %d: read %d bytes, %v; want %d bytes", tc.offset, tc.max, len(data), err, len(tc.want))
+		}
+		// One buffer of the size, rounded up to the allocator's page.
+		if c := cap(data); c > len(tc.want)+bytes.MinRead+8<<10 {
+			t.Errorf("offset %d, max %d: buffer of %d bytes for %d", tc.offset, tc.max, c, len(tc.want))
+		}
+	}
+
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	go func() {
+		io.WriteString(pw, content)
+		pw.Close()
+	}()
+	if data, err := xmlscan.ReadInput(pr, 0, "xsd"); err != nil || string(data) != content {
+		t.Fatalf("pipe: read %d bytes, %v; want %d", len(data), err, len(content))
 	}
 }
 
