@@ -11,7 +11,7 @@ FUZZTIME ?= 10s
 MAXREGRESS ?= 25
 BENCHCOUNT ?= 3
 
-.PHONY: build test bench bench-pipeline bench-serve bench-repo bench-repl bench-diff fmt-check verify fuzz-smoke chaos-smoke repl-smoke jobs-smoke shard-smoke heal-smoke
+.PHONY: build test bench bench-pipeline bench-serve bench-repo bench-repl bench-diff fmt-check loc-delta verify fuzz-smoke chaos-smoke repl-smoke jobs-smoke shard-smoke heal-smoke
 
 build:
 	$(GO) build ./...
@@ -127,7 +127,7 @@ repl-smoke:
 # the same directory, the surviving item's result preserved, the
 # remainder resumed to completion — every result archive byte-identical
 # to the synchronous /v1/generate answer — plus SSE progress ordering
-# under parallel emit and the torn-WAL-tail recovery path.
+# and the torn-WAL-tail recovery path.
 jobs-smoke:
 	$(GO) test ./internal/server -race -count=1 -run 'TestJobs' -timeout 180s
 	$(GO) test ./internal/jobs -race -count=1 -timeout 180s
@@ -155,6 +155,15 @@ shard-smoke:
 # epoch-swap-mid-proxy race.
 heal-smoke:
 	$(GO) test ./internal/server -race -count=1 -run 'TestHeal' -timeout 180s
+
+# loc-delta prints the lines added, deleted and net of the non-test Go
+# files outside perfbench/ between BASE and the working tree, the
+# figure every change reports: make loc-delta BASE=<commit>. Files
+# count once git tracks them.
+loc-delta:
+	@test -n "$(BASE)" || { echo "usage: make loc-delta BASE=<commit>" >&2; exit 2; }
+	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' ':(exclude)perfbench/' \
+		| awk '{ add += $$1; del += $$2 } END { printf "added %d, deleted %d, net %d\n", add, del, add - del }'
 
 # fmt-check fails when any Go file is not gofmt-formatted, listing it.
 fmt-check:

@@ -10,7 +10,6 @@ package ccts_test
 import (
 	"bytes"
 	"io"
-	"runtime"
 	"testing"
 
 	ccts "github.com/go-ccts/ccts"
@@ -174,35 +173,6 @@ func benchScaling(b *testing.B, abies int, chain bool) {
 func BenchmarkGenerateScaling10(b *testing.B)   { benchScaling(b, 10, true) }
 func BenchmarkGenerateScaling100(b *testing.B)  { benchScaling(b, 100, true) }
 func BenchmarkGenerateScaling1000(b *testing.B) { benchScaling(b, 1000, true) }
-
-// benchParallelScaling is benchScaling with a parallel emit phase: the
-// model is resolved once outside the loop (the index is shared across
-// iterations, as a repeated-generation caller would) and emission runs
-// with one worker per available CPU. Compare against the sequential
-// BenchmarkGenerateScaling* rows to quantify the emit-phase speedup;
-// output is byte-identical either way (TestParallelDeterminism).
-func benchParallelScaling(b *testing.B, abies int) {
-	m, root, err := fixture.BuildSynthetic(fixture.SyntheticSpec{
-		ABIEs: abies, BBIEsPerABIE: 10, Chain: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	docLib := m.FindLibrary("SynDoc")
-	index := ccts.ResolveModel(m)
-	opts := ccts.GenerateOptions{Index: index, Parallelism: runtime.GOMAXPROCS(0)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ccts.GenerateDocument(docLib, root.Name, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGenerateParallelScaling10(b *testing.B)   { benchParallelScaling(b, 10) }
-func BenchmarkGenerateParallelScaling100(b *testing.B)  { benchParallelScaling(b, 100) }
-func BenchmarkGenerateParallelScaling1000(b *testing.B) { benchParallelScaling(b, 1000) }
 
 // benchShape fixes the total BBIE count at 1000 while varying the
 // aggregate shape — many narrow ABIEs vs. few wide ones — to show that

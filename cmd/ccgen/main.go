@@ -6,12 +6,12 @@
 // message.
 //
 // The run is interruptible: SIGINT/SIGTERM and the -timeout flag cancel
-// the generation context, draining the emit workers cleanly before the
-// process exits. -h/-help print usage and exit 0.
+// the generation context, which the plan walk and the emit loop check
+// before each step. -h/-help print usage and exit 0.
 //
 // Usage:
 //
-//	ccgen -model model.xmi -library EB005-HoardingPermit -root HoardingPermit -out ./schemas [-target xsd|jsonschema|proto|rng|rdfs|go] [-profile profile.json] [-annotate] [-style shared|composite] [-parallel N] [-timeout 30s]
+//	ccgen -model model.xmi -library EB005-HoardingPermit -root HoardingPermit -out ./schemas [-target xsd|jsonschema|proto|rng|rdfs|go] [-profile profile.json] [-annotate] [-style shared|composite] [-timeout 30s]
 package main
 
 import (
@@ -49,7 +49,6 @@ func run(args []string) error {
 		style     = fs.String("style", "shared", "global-element rule: shared (paper example) or composite (paper prose)")
 		quiet     = fs.Bool("quiet", false, "suppress status messages")
 		skipCheck = fs.Bool("skip-validation", false, "generate even if the model has validation errors")
-		parallel  = fs.Int("parallel", 1, "emit-phase worker count (capped at GOMAXPROCS); output is identical at any setting")
 		timeout   = fs.Duration("timeout", 0, "abort the run after this duration (0 disables the limit)")
 		target    = fs.String("target", "xsd", "generation target: xsd, jsonschema, proto, rng, rdfs or go")
 		profile   = fs.String("profile", "", "generation profile JSON file (datatype/namespace/import overrides, root preselection)")
@@ -100,7 +99,7 @@ func run(args []string) error {
 		return fmt.Errorf("model has no library %q", *library)
 	}
 
-	opts := ccts.GenerateOptions{Annotate: *annotate, Parallelism: *parallel, Index: index, Context: ctx}
+	opts := ccts.GenerateOptions{Annotate: *annotate, Index: index, Context: ctx}
 	if *profile != "" {
 		data, err := os.ReadFile(*profile)
 		if err != nil {

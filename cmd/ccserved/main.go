@@ -16,6 +16,10 @@
 // preselection); each (model, target, profile) combination is its own
 // cache entry, and responses carry the backend's Content-Type.
 //
+// -request-timeout bounds each request's work and the time its client
+// has to send the headers and body; a body still unread at that
+// deadline answers 408.
+//
 // Overload and degradation control: requests queue up to
 // -max-queue-wait for an admission slot before a 503 shed, -rate
 // enables per-client token-bucket limiting (429 + Retry-After), and
@@ -31,7 +35,7 @@
 //
 // Usage:
 //
-//	ccserved -addr :8080 -parallel 4 -max-inflight 16 -request-timeout 30s \
+//	ccserved -addr :8080 -max-inflight 16 -request-timeout 30s \
 //	         -cache-bytes 67108864 -limits default -registry registry.json
 package main
 
@@ -118,9 +122,8 @@ func parseFlags(args []string) (*config, error) {
 	fs := flag.NewFlagSet("ccserved", flag.ContinueOnError)
 	var (
 		addr         = fs.String("addr", ":8080", "listen address")
-		parallel     = fs.Int("parallel", 1, "emit-phase worker count per generation (capped at GOMAXPROCS)")
 		maxInflight  = fs.Int("max-inflight", 0, "max concurrently admitted generations; 0 = 2*GOMAXPROCS; excess requests get 503")
-		reqTimeout   = fs.Duration("request-timeout", 30*time.Second, "per-request work budget (0 disables)")
+		reqTimeout   = fs.Duration("request-timeout", 30*time.Second, "per-request work budget, and the time a client has to send a request's headers and body (0 disables both)")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight requests")
 		cacheBytes   = fs.Int64("cache-bytes", 64<<20, "schema cache budget in bytes (negative disables caching)")
 		limitsProf   = fs.String("limits", "default", "ingestion limits profile: default or unlimited")
@@ -149,7 +152,6 @@ func parseFlags(args []string) (*config, error) {
 
 	cfg := &config{addr: *addr, drainTimeout: *drainTimeout, probeInterval: *probeEvery}
 	cfg.server = server.Config{
-		Parallelism:    *parallel,
 		MaxInFlight:    *maxInflight,
 		RequestTimeout: *reqTimeout,
 		CacheBytes:     *cacheBytes,
@@ -230,6 +232,24 @@ func parseFlags(args []string) (*config, error) {
 // request path, so an input the server accepted stays importable.
 func (c *config) repoConfig(tracker *health.Tracker) repo.Config {
 	return repo.Config{DefaultPolicy: c.repoPolicy, Limits: c.server.Limits, Health: tracker}
+}
+
+// httpServer builds the listener-side server. -request-timeout also
+// bounds how long a client may take to send a request's headers and
+// body: the read happens before the handler derives its work budget,
+// so without a read deadline a client that stalls mid-body would hold
+// a handler for as long as it stays connected. Once the body is read,
+// net/http lifts the deadline, so handlers that outlive it (job event
+// streams, replication long polls) keep their connection; with
+// IdleTimeout unset, idle keep-alive connections close after the same
+// duration.
+func (c *config) httpServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              c.addr,
+		Handler:           h,
+		ReadHeaderTimeout: c.server.RequestTimeout,
+		ReadTimeout:       c.server.RequestTimeout,
+	}
 }
 
 // loadRegistry reads a registry store saved by ccregistry.
@@ -348,7 +368,7 @@ func run(args []string) error {
 			}
 		}()
 	}
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: srv.Handler()}
+	httpSrv := cfg.httpServer(srv.Handler())
 
 	// Graceful drain: the first SIGINT/SIGTERM stops the listener and
 	// gives in-flight requests the drain budget; Shutdown's context

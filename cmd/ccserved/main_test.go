@@ -1,12 +1,18 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,7 +38,6 @@ func TestHelpExitsZero(t *testing.T) {
 func TestParseFlags(t *testing.T) {
 	cfg, err := parseFlags([]string{
 		"-addr", "127.0.0.1:0",
-		"-parallel", "4",
 		"-max-inflight", "7",
 		"-request-timeout", "5s",
 		"-cache-bytes", "1024",
@@ -44,8 +49,8 @@ func TestParseFlags(t *testing.T) {
 	if cfg.addr != "127.0.0.1:0" {
 		t.Errorf("addr = %q", cfg.addr)
 	}
-	if cfg.server.Parallelism != 4 || cfg.server.MaxInFlight != 7 {
-		t.Errorf("parallelism/inflight = %d/%d, want 4/7", cfg.server.Parallelism, cfg.server.MaxInFlight)
+	if cfg.server.MaxInFlight != 7 {
+		t.Errorf("inflight = %d, want 7", cfg.server.MaxInFlight)
 	}
 	if cfg.server.RequestTimeout != 5*time.Second {
 		t.Errorf("request timeout = %v", cfg.server.RequestTimeout)
@@ -282,4 +287,87 @@ func TestParseFlagsLoadsRegistry(t *testing.T) {
 	if _, err := parseFlags([]string{"-registry", filepath.Join(t.TempDir(), "missing.json")}); err == nil {
 		t.Error("missing registry store accepted")
 	}
+}
+
+// TestHTTPServerTimeouts serves through httpServer with a 200 ms
+// -request-timeout. A client that declares a body and stalls after a
+// few bytes is answered 408 within a second, while a handler that
+// outlives the timeout on a reused keep-alive connection still answers
+// 200 with an uncancelled context.
+func TestHTTPServerTimeouts(t *testing.T) {
+	cfg, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-request-timeout", "200ms"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/", server.New(cfg.server).Handler())
+	mux.HandleFunc("/slow", func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(3 * cfg.server.RequestTimeout)
+		if err := r.Context().Err(); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	srv := cfg.httpServer(mux)
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	addr := ln.Addr().String()
+
+	t.Run("stalled body", func(t *testing.T) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		start := time.Now()
+		fmt.Fprint(conn, "POST /v1/generate?library=EB005-HoardingPermit&root=HoardingPermit HTTP/1.1\r\n"+
+			"Host: ccserved\r\nContent-Length: 1000\r\n\r\nhello")
+		conn.SetReadDeadline(start.Add(5 * time.Second))
+		res, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		var body struct{ Code string }
+		if err := json.NewDecoder(res.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		if res.StatusCode != http.StatusRequestTimeout || body.Code != "timeout" {
+			t.Errorf("stalled body: status %d code %q, want 408 timeout", res.StatusCode, body.Code)
+		}
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("stalled body answered after %v, want within 1s", elapsed)
+		}
+	})
+
+	t.Run("slow handler", func(t *testing.T) {
+		tr := &http.Transport{}
+		defer tr.CloseIdleConnections()
+		client := &http.Client{Transport: tr}
+		for _, path := range []string{"/healthz", "/slow"} {
+			var reused bool
+			ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+				GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused },
+			})
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := client.Do(req)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			msg, _ := io.ReadAll(res.Body)
+			res.Body.Close()
+			if res.StatusCode != http.StatusOK {
+				t.Errorf("%s: status %d, want 200: %s", path, res.StatusCode, msg)
+			}
+			if path == "/slow" && !reused {
+				t.Error("/slow did not reuse the keep-alive connection")
+			}
+		}
+	})
 }

@@ -49,46 +49,6 @@ func TestGoldenSchemas(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminism generates the Figure 6 document schema set
-// repeatedly with a parallel emit phase and requires byte-identical
-// output: same Result.Order and the same bytes for every schema as the
-// sequential baseline. This pins the pipeline contract that
-// Options.Parallelism affects wall-clock only, never output.
-func TestParallelDeterminism(t *testing.T) {
-	f, err := fixture.BuildHoardingPermit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	index := ccts.ResolveModel(f.Model)
-	baseline, err := ccts.GenerateDocument(f.DOCLib, "HoardingPermit",
-		ccts.GenerateOptions{Annotate: true, Index: index})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[string]string, len(baseline.Order))
-	for _, file := range baseline.Order {
-		want[file] = baseline.Schemas[file].String()
-	}
-	for run := 0; run < 10; run++ {
-		res, err := ccts.GenerateDocument(f.DOCLib, "HoardingPermit",
-			ccts.GenerateOptions{Annotate: true, Index: index, Parallelism: 8})
-		if err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-		if len(res.Order) != len(baseline.Order) {
-			t.Fatalf("run %d: got %d schemas, want %d", run, len(res.Order), len(baseline.Order))
-		}
-		for i, file := range res.Order {
-			if file != baseline.Order[i] {
-				t.Fatalf("run %d: Order[%d] = %q, want %q", run, i, file, baseline.Order[i])
-			}
-			if got := res.Schemas[file].String(); got != want[file] {
-				t.Errorf("run %d: %s differs between parallel and sequential emission", run, file)
-			}
-		}
-	}
-}
-
 // TestGoldenRelaxNG pins the RELAX NG grammar.
 func TestGoldenRelaxNG(t *testing.T) {
 	f, err := fixture.BuildHoardingPermit()

@@ -10,10 +10,9 @@ package core
 //
 // Invariants: a ModelIndex is immutable after construction — every map
 // is fully populated by NewModelIndex/IndexLibraries and never written
-// afterwards — so it is safe for any number of concurrent readers (the
-// parallel Emit phase reads it from every worker goroutine without
-// locks). The index reflects the model at resolve time; mutating the
-// model afterwards requires building a fresh index.
+// afterwards — so it is safe for any number of concurrent readers. The
+// index reflects the model at resolve time; mutating the model
+// afterwards requires building a fresh index.
 type ModelIndex struct {
 	libs      []*Library
 	lib       map[*Library]*LibraryIndex

@@ -94,16 +94,6 @@ func SchemaFileName(lib *Library) string {
 	return name + ".xsd"
 }
 
-// SchemaLocation builds the schemaLocation for an import: the optional
-// directory prefix (as chosen in the generator dialog) plus the file
-// name.
-func SchemaLocation(dirPrefix string, lib *Library) string {
-	if dirPrefix == "" {
-		return SchemaFileName(lib)
-	}
-	return strings.TrimSuffix(dirPrefix, "/") + "/" + SchemaFileName(lib)
-}
-
 func fileSafe(s string) string {
 	var b strings.Builder
 	for _, r := range s {

@@ -126,16 +126,3 @@ func TestAttributeUse(t *testing.T) {
 		t.Error("0..1 should be optional")
 	}
 }
-
-func TestSchemaLocation(t *testing.T) {
-	lib := &Library{Name: "X", Version: "1.0"}
-	if got := SchemaLocation("", lib); got != "X_1.0.xsd" {
-		t.Errorf("location = %q", got)
-	}
-	if got := SchemaLocation("../schemas", lib); got != "../schemas/X_1.0.xsd" {
-		t.Errorf("location = %q", got)
-	}
-	if got := SchemaLocation("../schemas/", lib); got != "../schemas/X_1.0.xsd" {
-		t.Errorf("trailing slash: %q", got)
-	}
-}

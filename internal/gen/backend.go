@@ -9,8 +9,7 @@ import (
 // Fragment is the value one emission operation produces for a backend:
 // an opaque, backend-defined intermediate (an XSD type node, a JSON
 // Schema definition, a proto message body). Fragments are assembled
-// into files strictly in plan order, which is what keeps every backend
-// byte-identical between sequential and parallel execution.
+// into files strictly in plan order.
 type Fragment any
 
 // OutFile is one generated output document.
@@ -36,21 +35,19 @@ type Output struct {
 	RootElement string
 }
 
-// Backend turns a plan into target-language output. The contract that
-// makes the shared worker pool safe and deterministic:
+// Backend turns a plan into target-language output. The contract:
 //
-//   - EmitOp must be a pure function of the immutable plan, unit and
-//     op — no shared mutable state — because the pool calls it from
-//     many goroutines in arbitrary order.
+//   - EmitOp is called once per op, in plan order, each call isolated:
+//     a panic becomes that op's OpError and the run goes on. It should
+//     be a function of the immutable plan, unit and op alone.
 //   - Assemble receives every fragment in exact plan order (fragment
-//     [i][j] belongs to unit i, op j) and runs once, sequentially. All
-//     ordering, numbering and naming that depends on position belongs
-//     here (or in the plan), never in EmitOp.
+//     [i][j] belongs to unit i, op j) and runs once. All ordering,
+//     numbering and naming that depends on position belongs here (or
+//     in the plan), never in EmitOp.
 //
 // A backend whose output depends on emission order (e.g. stateful
 // unique-name allocation) can return placeholder fragments from EmitOp
-// and do the full walk in Assemble; determinism is then trivial at the
-// cost of parallel speedup.
+// and do the full walk in Assemble.
 type Backend interface {
 	// Target returns the backend identifier used in CLI flags and the
 	// /v1/generate 'target' parameter.
@@ -64,9 +61,9 @@ type Backend interface {
 }
 
 // ExecuteBackend runs the emit phase through a backend on the same
-// bounded worker pool as Execute, with the same guarantees: per-op
-// panic isolation into OpError, errors.Join aggregation, clean
-// cancellation drain, and byte-identical output at any parallelism.
+// loop as Execute, with the same guarantees: per-op panic isolation
+// into OpError, errors.Join aggregation and a cancellation check
+// before each op.
 func (p *Plan) ExecuteBackend(b Backend) (*Output, error) {
 	frags, err := executeGrid(p, func(u *Unit, op Op) (Fragment, error) {
 		frag, err := b.EmitOp(p, u, op)
@@ -88,7 +85,7 @@ func (p *Plan) ExecuteBackend(b Backend) (*Output, error) {
 	if out.ContentType == "" {
 		out.ContentType = b.ContentType()
 	}
-	p.sink.emitf("generated %d %s file(s)", len(out.Files), out.Target)
+	p.opts.status("generated %d %s file(s)", len(out.Files), out.Target)
 	return out, nil
 }
 

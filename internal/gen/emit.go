@@ -1,13 +1,9 @@
 package gen
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"github.com/go-ccts/ccts/internal/core"
 	"github.com/go-ccts/ccts/internal/metrics"
@@ -22,13 +18,10 @@ type opOut struct {
 	st *xsd.SimpleType
 }
 
-// opRef addresses one operation inside the plan's unit/op grid.
-type opRef struct{ unit, op int }
-
 // OpError is the structured error produced when one emission operation
-// panics. The panic is confined to the operation: the worker pool
-// drains cleanly and every other library still emits, so a single run
-// reports every failing operation via errors.Join.
+// panics. The panic is confined to the operation: every other
+// operation still runs, so a single run reports every failing
+// operation via errors.Join.
 type OpError struct {
 	// Library and Kind name the library whose operation failed.
 	Library string
@@ -62,13 +55,13 @@ func opLabel(op Op) string {
 
 // testEmitFault, when non-nil, runs before every emission operation. It
 // is the fault-injection hook of the test harness: tests make it panic
-// or block to prove panic isolation and clean cancellation drain.
+// or cancel the run to prove panic isolation and cancellation.
 var testEmitFault func(lib *core.Library, op string)
 
 // safeOp runs operation j of a unit through run with panic isolation:
 // a panicking operation becomes a structured OpError instead of
-// crashing the process or wedging the pool. The native XSD path and
-// every backend run their operations through it.
+// crashing the process. The native XSD path and every backend run
+// their operations through it.
 func safeOp[T any](u *Unit, j int, run func(*Unit, Op) (T, error)) (out T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -89,17 +82,15 @@ func safeOp[T any](u *Unit, j int, run func(*Unit, Op) (T, error)) (out T, err e
 }
 
 // Execute runs the emit phase: every operation of the plan is executed
-// — on a bounded worker pool when Options.Parallelism asks for one —
-// and the resulting nodes are merged into schema documents in plan
-// order. Because the plan fixed all ordering, prefixes and imports
-// up front and each operation only reads the immutable plan and model
-// index, the output is byte-identical regardless of worker count.
+// in plan order, and the resulting nodes are merged into schema
+// documents. The plan fixed all ordering, prefixes and imports up
+// front, so the output is a function of the plan alone.
 //
 // Failure semantics: a panicking operation is isolated into an OpError
 // and the remaining operations still run, so the returned error (built
 // with errors.Join) names every failing library, not just the first. A
-// cancelled Options.Context stops workers claiming further operations,
-// drains the pool and returns the wrapped context error.
+// cancelled Options.Context stops the run before its next operation and
+// returns the wrapped context error.
 func (p *Plan) Execute() (*Result, error) {
 	outs, err := executeGrid(p, func(u *Unit, op Op) (opOut, error) {
 		return p.runOp(u, op), nil
@@ -111,143 +102,49 @@ func (p *Plan) Execute() (*Result, error) {
 }
 
 // executeGrid runs every operation of the plan through run under
-// safeOp, sequentially or on the bounded worker pool, and returns the
-// per-unit result grid in plan order. It is the shared engine under
-// Execute (native XSD) and ExecuteBackend.
+// safeOp, one after another in plan order, and returns the per-unit
+// result grid. It is the shared engine under Execute (native XSD) and
+// ExecuteBackend.
 func executeGrid[T any](p *Plan, run func(*Unit, Op) (T, error)) ([][]T, error) {
 	ctx := p.opts.ctx()
+	opsDone := p.opsCounter()
 	outs := make([][]T, len(p.units))
-	errs := make([][]error, len(p.units))
+	var errs []error
 	for i, u := range p.units {
 		outs[i] = make([]T, len(u.ops))
-		errs[i] = make([]error, len(u.ops))
-	}
-	workers := p.opts.Parallelism
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		workers = max
-	}
-	if workers > p.totalOps {
-		workers = p.totalOps
-	}
-	if workers <= 1 {
-		opsDone, active := p.poolInstruments()
-		active.Inc()
-		for i, u := range p.units {
-			for j := range u.ops {
-				if ctx.Err() != nil {
-					active.Dec()
-					return nil, fmt.Errorf("gen: emit cancelled: %w", ctx.Err())
-				}
-				outs[i][j], errs[i][j] = safeOp(u, j, run)
-				opsDone.Inc()
+		for j := range u.ops {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("gen: emit cancelled: %w", err)
 			}
-			p.sink.emitf("emitted %d definition(s) for %s %s", len(u.ops), u.lib.Kind, u.lib.Name)
+			var err error
+			if outs[i][j], err = safeOp(u, j, run); err != nil {
+				errs = append(errs, err)
+			}
+			opsDone.Inc()
 		}
-		active.Dec()
-	} else {
-		executeParallel(p, ctx, outs, errs, workers, run)
+		p.opts.status("emitted %d definition(s) for %s %s", len(u.ops), u.lib.Kind, u.lib.Name)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("gen: emit cancelled: %w", err)
 	}
-	if err := joinOpErrors(errs); err != nil {
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
 	return outs, nil
 }
 
-// joinOpErrors aggregates the per-operation error grid in plan order so
-// one run reports every failing library.
-func joinOpErrors(errs [][]error) error {
-	var all []error
-	for _, unit := range errs {
-		for _, err := range unit {
-			if err != nil {
-				all = append(all, err)
-			}
-		}
-	}
-	return errors.Join(all...)
-}
-
-// poolInstruments returns the emit-phase instruments: an operation
-// counter and a live-worker gauge. When Options.Metrics is nil they are
-// detached instruments that count into the void, so the hot path needs
-// no nil checks.
-func (p *Plan) poolInstruments() (*metrics.Counter, *metrics.Gauge) {
+// opsCounter returns the gen_emit_ops_total counter. When
+// Options.Metrics is nil it is a detached counter that counts into the
+// void, so the loop needs no nil check.
+func (p *Plan) opsCounter() *metrics.Counter {
 	if p.opts.Metrics == nil {
-		return &metrics.Counter{}, &metrics.Gauge{}
+		return &metrics.Counter{}
 	}
-	return p.opts.Metrics.Counter("gen_emit_ops_total", "Emission operations executed."),
-		p.opts.Metrics.Gauge("gen_emit_workers_active", "Live emit-pool workers.")
-}
-
-// executeParallel fans the flattened operation list out to the worker
-// pool in chunks; a per-unit countdown reports each library's
-// completion through the serialized status sink. Workers observe the
-// context between operations, so cancellation drains the pool without
-// leaking goroutines or deadlocking the chunk counter.
-func executeParallel[T any](p *Plan, ctx context.Context, outs [][]T, errs [][]error, workers int, run func(*Unit, Op) (T, error)) {
-	flat := make([]opRef, 0, p.totalOps)
-	remaining := make([]atomic.Int64, len(p.units))
-	for i, u := range p.units {
-		remaining[i].Store(int64(len(u.ops)))
-		if len(u.ops) == 0 {
-			p.sink.emitf("emitted 0 definition(s) for %s %s", u.lib.Kind, u.lib.Name)
-		}
-		for j := range u.ops {
-			flat = append(flat, opRef{unit: i, op: j})
-		}
-	}
-	// Chunked claiming keeps contention on the shared counter low while
-	// still balancing uneven units across workers.
-	chunk := int64(p.totalOps / (workers * 4))
-	if chunk < 1 {
-		chunk = 1
-	} else if chunk > 64 {
-		chunk = 64
-	}
-	opsDone, active := p.poolInstruments()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			active.Inc()
-			defer active.Dec()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				start := next.Add(chunk) - chunk
-				if start >= int64(len(flat)) {
-					return
-				}
-				end := start + chunk
-				if end > int64(len(flat)) {
-					end = int64(len(flat))
-				}
-				for _, ref := range flat[start:end] {
-					if ctx.Err() != nil {
-						return
-					}
-					u := p.units[ref.unit]
-					outs[ref.unit][ref.op], errs[ref.unit][ref.op] = safeOp(u, ref.op, run)
-					opsDone.Inc()
-					if remaining[ref.unit].Add(-1) == 0 {
-						p.sink.emitf("emitted %d definition(s) for %s %s", len(u.ops), u.lib.Kind, u.lib.Name)
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	return p.opts.Metrics.Counter("gen_emit_ops_total", "Emission operations executed.")
 }
 
 // merge assembles the schema documents from the executed operations in
-// plan order; this is the only phase that touches the schemas, so the
-// parallel and sequential paths converge here.
+// plan order; this is the only phase that touches the schemas.
 func (p *Plan) merge(outs [][]opOut) (*Result, error) {
 	res := &Result{Schemas: map[string]*xsd.Schema{}, Index: p.index}
 	for i, u := range p.units {
@@ -291,13 +188,12 @@ func (p *Plan) merge(outs [][]opOut) (*Result, error) {
 		})
 		res.RootElement = rootName
 	}
-	p.sink.emitf("generated %d schema(s)", len(res.Order))
+	p.opts.status("generated %d schema(s)", len(res.Order))
 	return res, nil
 }
 
-// runOp executes one emission operation. Operations are infallible —
-// every error was caught while planning — and read only the immutable
-// plan and index, so they are safe to run concurrently.
+// runOp executes one emission operation. Operations are infallible:
+// every error was caught while planning.
 func (p *Plan) runOp(u *Unit, op Op) opOut {
 	switch {
 	case op.abie != nil:

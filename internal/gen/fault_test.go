@@ -3,10 +3,8 @@ package gen
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/go-ccts/ccts/internal/core"
 )
@@ -19,24 +17,6 @@ func withEmitFault(t *testing.T, hook func(lib *core.Library, op string)) {
 	t.Cleanup(func() { testEmitFault = nil })
 }
 
-// waitGoroutines waits for the goroutine count to drop back to the
-// baseline, tolerating runtime helpers that exit asynchronously.
-func waitGoroutines(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= baseline {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d running, baseline %d", n, baseline)
-		}
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 func TestEmitPanicBecomesOpError(t *testing.T) {
 	f := buildFixture(t)
 	withEmitFault(t, func(lib *core.Library, op string) {
@@ -44,30 +24,28 @@ func TestEmitPanicBecomesOpError(t *testing.T) {
 			panic("injected emit fault")
 		}
 	})
-	for _, parallelism := range []int{1, 4} {
-		_, err := GenerateDocument(f.DOCLib, "HoardingPermit", Options{Parallelism: parallelism})
-		if err == nil {
-			t.Fatalf("parallelism %d: want error, got nil", parallelism)
-		}
-		var opErr *OpError
-		if !errors.As(err, &opErr) {
-			t.Fatalf("parallelism %d: error %v is not an *OpError", parallelism, err)
-		}
-		if opErr.Library != f.DOCLib.Name {
-			t.Errorf("parallelism %d: OpError.Library = %q, want %q", parallelism, opErr.Library, f.DOCLib.Name)
-		}
-		if opErr.Op != `ABIE "HoardingPermit"` {
-			t.Errorf("parallelism %d: OpError.Op = %q", parallelism, opErr.Op)
-		}
-		if opErr.Recovered != "injected emit fault" {
-			t.Errorf("parallelism %d: OpError.Recovered = %v", parallelism, opErr.Recovered)
-		}
-		if len(opErr.Stack) == 0 {
-			t.Errorf("parallelism %d: OpError.Stack is empty", parallelism)
-		}
-		if !strings.Contains(err.Error(), f.DOCLib.Name) {
-			t.Errorf("parallelism %d: error %q does not name the library", parallelism, err)
-		}
+	_, err := GenerateDocument(f.DOCLib, "HoardingPermit", Options{})
+	if err == nil {
+		t.Fatal("want error, got nil")
+	}
+	var opErr *OpError
+	if !errors.As(err, &opErr) {
+		t.Fatalf("error %v is not an *OpError", err)
+	}
+	if opErr.Library != f.DOCLib.Name {
+		t.Errorf("OpError.Library = %q, want %q", opErr.Library, f.DOCLib.Name)
+	}
+	if opErr.Op != `ABIE "HoardingPermit"` {
+		t.Errorf("OpError.Op = %q", opErr.Op)
+	}
+	if opErr.Recovered != "injected emit fault" {
+		t.Errorf("OpError.Recovered = %v", opErr.Recovered)
+	}
+	if len(opErr.Stack) == 0 {
+		t.Error("OpError.Stack is empty")
+	}
+	if !strings.Contains(err.Error(), f.DOCLib.Name) {
+		t.Errorf("error %q does not name the library", err)
 	}
 }
 
@@ -82,22 +60,20 @@ func TestEmitPanicsAggregated(t *testing.T) {
 			panic("injected fault in " + lib.Name)
 		}
 	})
-	for _, parallelism := range []int{1, 4} {
-		_, err := GenerateDocument(f.DOCLib, "HoardingPermit", Options{Parallelism: parallelism})
-		if err == nil {
-			t.Fatalf("parallelism %d: want error, got nil", parallelism)
-		}
-		for name := range faulty {
-			if !strings.Contains(err.Error(), name) {
-				t.Errorf("parallelism %d: joined error %q does not mention library %s", parallelism, err, name)
-			}
+	_, err := GenerateDocument(f.DOCLib, "HoardingPermit", Options{})
+	if err == nil {
+		t.Fatal("want error, got nil")
+	}
+	for name := range faulty {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("joined error %q does not mention library %s", err, name)
 		}
 	}
 }
 
 // TestEmitCancelSequential cancels the context from inside the first
-// emit operation; the sequential path must stop claiming operations and
-// surface the wrapped context error.
+// emit operation; the run must stop claiming operations and surface
+// the wrapped context error.
 func TestEmitCancelSequential(t *testing.T) {
 	f := buildFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -110,48 +86,6 @@ func TestEmitCancelSequential(t *testing.T) {
 	if !strings.Contains(err.Error(), "emit cancelled") {
 		t.Errorf("err = %q, want emit-cancellation message", err)
 	}
-}
-
-// TestEmitCancelParallel blocks every worker inside an emit operation,
-// cancels mid-emit, and asserts the pool drains: the run returns the
-// wrapped context error, no worker deadlocks on the chunk counter and no
-// goroutine outlives the run.
-func TestEmitCancelParallel(t *testing.T) {
-	f := buildFixture(t)
-	baseline := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	started := make(chan struct{}, 1)
-	withEmitFault(t, func(lib *core.Library, op string) {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
-		<-ctx.Done()
-	})
-	done := make(chan error, 1)
-	go func() {
-		_, err := GenerateDocument(f.DOCLib, "HoardingPermit", Options{Parallelism: 4, Context: ctx})
-		done <- err
-	}()
-	select {
-	case <-started:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no emit operation started")
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want wrapped context.Canceled", err)
-		}
-		if !strings.Contains(err.Error(), "emit cancelled") {
-			t.Errorf("err = %q, want emit-cancellation message", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("emit did not drain after cancellation")
-	}
-	waitGoroutines(t, baseline)
 }
 
 // TestPlanCancelled proves the plan walk observes the context too.
@@ -169,7 +103,7 @@ func TestPlanCancelled(t *testing.T) {
 // like context.Background().
 func TestContextNilIsBackground(t *testing.T) {
 	f := buildFixture(t)
-	res, err := GenerateDocument(f.DOCLib, "HoardingPermit", Options{Parallelism: 2})
+	res, err := GenerateDocument(f.DOCLib, "HoardingPermit", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,16 +5,14 @@
 // library, usually a DOCLibrary root element — and records a
 // deterministic Plan: topologically ordered library units with their
 // cross-imports, emission operations and global-element decisions. Emit
-// executes the plan, optionally on a bounded worker pool, and merges the
-// results in plan order, so the generated bytes are identical whether
-// the run is sequential or parallel. See DESIGN.md for the architecture.
+// runs the operations one after another in plan order and merges the
+// results into documents. See DESIGN.md for the architecture.
 package gen
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/go-ccts/ccts/internal/core"
 	"github.com/go-ccts/ccts/internal/metrics"
@@ -43,24 +41,12 @@ type Options struct {
 	Annotate bool
 	// Style selects the global-element rule; see ASBIEStyle.
 	Style ASBIEStyle
-	// SchemaLocationPrefix is prepended to file names in schemaLocation
-	// attributes (e.g. "../schemas").
-	SchemaLocationPrefix string
 	// Status receives progress messages during generation ("status
 	// messages are passed back to the user interface"); nil discards
-	// them. The callback is never invoked concurrently, even when
-	// Parallelism > 1: all invocations are serialized behind a mutex.
-	// Messages from the plan phase arrive in deterministic model order;
-	// the per-library completion messages of a parallel emit phase may
-	// interleave across libraries, since libraries finish in worker
-	// order.
+	// them. It is called on the generating goroutine, and the messages
+	// of a run arrive in a fixed order: the plan walk's in model order,
+	// then one "emitted" line per library in plan order.
 	Status func(string)
-	// Parallelism bounds the worker pool of the emit phase. Values <= 1
-	// emit sequentially (the default); larger values are capped at
-	// GOMAXPROCS. Parallel emission produces byte-identical schemas and
-	// identical Result.Order, because the plan fixes all ordering before
-	// any worker starts.
-	Parallelism int
 	// Index is the resolve-phase model index to reuse. When nil, the
 	// generator resolves one itself; callers generating repeatedly from
 	// an unchanged model (or threading the index on to validation and
@@ -68,16 +54,15 @@ type Options struct {
 	// and share it.
 	Index *core.ModelIndex
 	// Context cancels the run. Both the plan walk and the emit phase
-	// observe it: a cancelled context stops workers claiming further
-	// operations, drains the pool cleanly and surfaces as a wrapped
-	// context error. Nil means context.Background(). It is the only way
-	// to cancel a run: SIGINT handling, deadlines and per-request budgets
-	// in a serving deployment all arrive here.
+	// observe it: a cancelled context stops the run before its next
+	// operation and surfaces as a wrapped context error. Nil means
+	// context.Background(). It is the only way to cancel a run: SIGINT
+	// handling, deadlines and per-request budgets in a serving
+	// deployment all arrive here.
 	Context context.Context
-	// Metrics, when non-nil, receives worker-pool instrumentation from
-	// the emit phase: gen_emit_ops_total counts executed emission
-	// operations and gen_emit_workers_active tracks live pool workers.
-	// The serving subsystem sets this so /metrics exposes generator
+	// Metrics, when non-nil, receives the emit phase's
+	// gen_emit_ops_total counter of executed emission operations. The
+	// serving subsystem sets this so /metrics exposes generator
 	// activity; batch callers normally leave it nil.
 	Metrics *metrics.Registry
 	// Profile is the per-run generation profile: datatype mapping
@@ -96,21 +81,11 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// statusSink serializes Options.Status callbacks so concurrent emit
-// workers never race on the user's callback.
-type statusSink struct {
-	mu sync.Mutex
-	fn func(string)
-}
-
-func (s *statusSink) emitf(format string, args ...any) {
-	if s == nil || s.fn == nil {
-		return
+// status sends one progress message to Options.Status, if set.
+func (o *Options) status(format string, args ...any) {
+	if o.Status != nil {
+		o.Status(fmt.Sprintf(format, args...))
 	}
-	msg := fmt.Sprintf(format, args...)
-	s.mu.Lock()
-	s.fn(msg)
-	s.mu.Unlock()
 }
 
 // ErrPRIMLibrary is returned when schema generation is requested for a

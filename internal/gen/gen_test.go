@@ -465,22 +465,6 @@ func TestGenerateErrors(t *testing.T) {
 	}
 }
 
-func TestSchemaLocationPrefix(t *testing.T) {
-	f := buildFixture(t)
-	res, err := GenerateDocument(f.DOCLib, "HoardingPermit", Options{
-		SchemaLocationPrefix: "../schemas",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := res.Primary()
-	for _, imp := range doc.Imports {
-		if !strings.HasPrefix(imp.SchemaLocation, "../schemas/") {
-			t.Errorf("schemaLocation = %q, want ../schemas/ prefix", imp.SchemaLocation)
-		}
-	}
-}
-
 func TestStatusMessages(t *testing.T) {
 	f := buildFixture(t)
 	var messages []string

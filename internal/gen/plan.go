@@ -13,15 +13,13 @@ import (
 // Plan is the deterministic output of the plan phase: the library units
 // to emit in topological first-use order, each with its namespace
 // declarations, imports, emission operations and global-element
-// decisions already fixed. A Plan is immutable once built; Execute
-// reads it from any number of workers without locks. All model errors
-// (missing baseURN, colliding file names, unresolvable data types,
-// unsupported content) are caught while planning, which is what lets
-// the emit phase run infallible operations concurrently.
+// decisions already fixed. A Plan is immutable once built. All model
+// errors (missing baseURN, colliding file names, unresolvable data
+// types, unsupported content) are caught while planning, so every
+// operation of the emit phase is infallible.
 type Plan struct {
 	opts  Options
 	index *core.ModelIndex
-	sink  *statusSink
 	units []*Unit
 	// prefixes snapshots the namespace prefix of every library the plan
 	// touches (allocation order matters: the allocator numbered them
@@ -29,8 +27,7 @@ type Plan struct {
 	prefixes map[*core.Library]string
 	// root is the selected root ABIE for DOCLibrary plans, emitted as
 	// the document's single global element; nil otherwise.
-	root     *core.ABIE
-	totalOps int
+	root *core.ABIE
 }
 
 // Index returns the resolve-phase model index the plan was built
@@ -82,7 +79,6 @@ type Op struct {
 type planner struct {
 	opts     Options
 	index    *core.ModelIndex
-	sink     *statusSink
 	prefixes *ndr.PrefixAllocator
 	plan     *Plan
 	units    map[*core.Library]*Unit
@@ -100,7 +96,6 @@ func newPlanner(lib *core.Library, opts Options) *planner {
 	pl := &planner{
 		opts:       opts,
 		index:      resolveIndex(opts, lib),
-		sink:       &statusSink{fn: opts.Status},
 		prefixes:   ndr.NewPrefixAllocator(),
 		units:      map[*core.Library]*Unit{},
 		files:      map[string]bool{},
@@ -113,7 +108,6 @@ func newPlanner(lib *core.Library, opts Options) *planner {
 	pl.plan = &Plan{
 		opts:     opts,
 		index:    pl.index,
-		sink:     pl.sink,
 		prefixes: map[*core.Library]string{},
 	}
 	return pl
@@ -133,7 +127,7 @@ func NewPlan(lib *core.Library, rootABIE string, opts Options) (*Plan, error) {
 		return planDocument(lib, opts.Profile.RootOr(rootABIE), opts)
 	}
 	pl := newPlanner(lib, opts)
-	pl.sink.emitf("generating schema for %s %s", lib.Kind, lib.Name)
+	pl.opts.status("generating schema for %s %s", lib.Kind, lib.Name)
 	switch lib.Kind {
 	case core.KindPRIMLibrary:
 		return nil, ErrPRIMLibrary
@@ -163,7 +157,7 @@ func planDocument(lib *core.Library, rootABIE string, opts Options) (*Plan, erro
 		return nil, fmt.Errorf("gen: DOCLibrary %q has no ABIE %q to use as root; available: %v", lib.Name, rootABIE, roots)
 	}
 	pl := newPlanner(lib, opts)
-	pl.sink.emitf("generating document schema for %s (root %s)", lib.Name, rootABIE)
+	pl.opts.status("generating document schema for %s (root %s)", lib.Name, rootABIE)
 	u, err := pl.unitFor(lib)
 	if err != nil {
 		return nil, err
@@ -179,7 +173,6 @@ func planDocument(lib *core.Library, rootABIE string, opts Options) (*Plan, erro
 func (pl *planner) finish() *Plan {
 	for _, u := range pl.plan.units {
 		pl.plan.prefixes[u.lib] = pl.prefixes.Prefix(u.lib)
-		pl.plan.totalOps += len(u.ops)
 	}
 	return pl.plan
 }
@@ -248,7 +241,7 @@ func (pl *planner) ensureLibrary(lib *core.Library) error {
 		return nil
 	}
 	pl.done[lib] = true
-	pl.sink.emitf("processing %s %s", lib.Kind, lib.Name)
+	pl.opts.status("processing %s %s", lib.Kind, lib.Name)
 	switch lib.Kind {
 	case core.KindBIELibrary:
 		for _, abie := range lib.ABIEs {
@@ -298,7 +291,7 @@ func (pl *planner) importLibrary(u *Unit, usingLib, target *core.Library) error 
 		return nil
 	}
 	pl.imported[u][ns] = true
-	loc := core.SchemaLocation(pl.opts.SchemaLocationPrefix, target)
+	loc := pl.index.SchemaFile(target)
 	if override, ok := pl.opts.Profile.Import(ns); ok {
 		loc = override
 	}

@@ -1,93 +1,70 @@
 package gen
 
 import (
-	"regexp"
-	"sync"
+	"slices"
 	"testing"
 )
 
-var (
-	// Imported libraries announce with "processing <kind> <name>"; the
-	// requested library itself announces with the run-start line.
-	statusStartRE    = regexp.MustCompile(`^processing \S+ (\S+)$`)
-	statusRunDocRE   = regexp.MustCompile(`^generating document schema for (\S+) \(root \S+\)$`)
-	statusRunPlainRE = regexp.MustCompile(`^generating schema for \S+ (\S+)$`)
-	statusDoneRE     = regexp.MustCompile(`^emitted \d+ definition\(s\) for \S+ (\S+)$`)
-)
-
-// TestStatusOrderingUnderParallelEmit pins the Options.Status contract
-// the job subsystem's SSE stream depends on: even with concurrent emit
-// workers, each library produces exactly one "processing" line and
-// exactly one "emitted" line, start strictly before done, and the
-// callback is never invoked concurrently (the sink serializes it). The
-// messages themselves are whole — interleaving corruption inside one
-// line would break the regexes.
-func TestStatusOrderingUnderParallelEmit(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		t.Run(map[int]string{1: "serial", 4: "parallel"}[par], func(t *testing.T) {
-			var (
-				mu      sync.Mutex
-				lines   []string
-				inside  bool
-				overlap bool
-			)
-			status := func(msg string) {
-				mu.Lock()
-				if inside {
-					overlap = true
-				}
-				inside = true
-				lines = append(lines, msg)
-				inside = false
-				mu.Unlock()
-			}
-
-			f := buildFixture(t)
-			res, err := GenerateDocument(f.DOCLib, "HoardingPermit", Options{
-				Parallelism: par,
-				Status:      status,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if overlap {
-				t.Error("Status callback invoked concurrently")
-			}
-
-			started := map[string]int{}
-			done := map[string]int{}
-			for _, line := range lines {
-				for _, re := range []*regexp.Regexp{statusStartRE, statusRunDocRE, statusRunPlainRE} {
-					if m := re.FindStringSubmatch(line); m != nil {
-						started[m[1]]++
-						if done[m[1]] > 0 {
-							t.Errorf("library %s reported done before start", m[1])
-						}
-					}
-				}
-				if m := statusDoneRE.FindStringSubmatch(line); m != nil {
-					if started[m[1]] == 0 {
-						t.Errorf("library %s reported done without a start", m[1])
-					}
-					done[m[1]]++
-				}
-			}
-			if len(started) == 0 {
-				t.Fatalf("no per-library status lines; all lines: %q", lines)
-			}
-			for lib, n := range started {
-				if n != 1 {
-					t.Errorf("library %s started %d times, want 1", lib, n)
-				}
-				if done[lib] != 1 {
-					t.Errorf("library %s finished %d times, want 1", lib, done[lib])
-				}
-			}
-			// Every generated schema's library must have reported; the
-			// run covers the full import closure.
-			if len(started) != len(res.Order) {
-				t.Errorf("%d libraries reported start, %d schemas generated: %v", len(started), len(res.Order), started)
-			}
+// TestStatusSequence pins the exact Options.Status lines of two runs.
+// The job subsystem streams them as SSE progress events, so the order
+// is part of the contract: the plan walk's lines in model order, one
+// "emitted" line per library in plan order, then the run's summary.
+func TestStatusSequence(t *testing.T) {
+	f := buildFixture(t)
+	t.Run("document", func(t *testing.T) {
+		var lines []string
+		_, err := GenerateDocument(f.DOCLib, "HoardingPermit", Options{
+			Status: func(msg string) { lines = append(lines, msg) },
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{
+			"generating document schema for EB005-HoardingPermit (root HoardingPermit)",
+			"processing CDTLibrary coredatatypes",
+			"processing QDTLibrary BuildingAndPlanningDataTypes",
+			"processing ENUMLibrary EnumerationTypes",
+			"processing BIELibrary CommonAggregates",
+			"processing BIELibrary LocalLawAggregates",
+			"emitted 1 definition(s) for DOCLibrary EB005-HoardingPermit",
+			"emitted 13 definition(s) for CDTLibrary coredatatypes",
+			"emitted 4 definition(s) for QDTLibrary BuildingAndPlanningDataTypes",
+			"emitted 2 definition(s) for ENUMLibrary EnumerationTypes",
+			"emitted 5 definition(s) for BIELibrary CommonAggregates",
+			"emitted 1 definition(s) for BIELibrary LocalLawAggregates",
+			"generated 6 schema(s)",
+		}
+		if !slices.Equal(lines, want) {
+			t.Errorf("status lines:\n%q\nwant:\n%q", lines, want)
+		}
+	})
+	t.Run("library", func(t *testing.T) {
+		var lines []string
+		plan, err := NewPlan(f.Common, "", Options{
+			Status: func(msg string) { lines = append(lines, msg) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := plan.ExecuteBackend(XSDBackend{}); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{
+			"generating schema for BIELibrary CommonAggregates",
+			"processing BIELibrary CommonAggregates",
+			"processing CDTLibrary coredatatypes",
+			"processing QDTLibrary BuildingAndPlanningDataTypes",
+			"processing ENUMLibrary EnumerationTypes",
+			"emitted 5 definition(s) for BIELibrary CommonAggregates",
+			"emitted 13 definition(s) for CDTLibrary coredatatypes",
+			"emitted 4 definition(s) for QDTLibrary BuildingAndPlanningDataTypes",
+			"emitted 2 definition(s) for ENUMLibrary EnumerationTypes",
+			// The xsd backend's merge and ExecuteBackend each report.
+			"generated 4 schema(s)",
+			"generated 4 xsd file(s)",
+		}
+		if !slices.Equal(lines, want) {
+			t.Errorf("status lines:\n%q\nwant:\n%q", lines, want)
+		}
+	})
 }

@@ -9,9 +9,8 @@ import (
 // Backend adapts the Go binding generator to the gen.Backend
 // interface. Go type names come from a stateful collision-avoiding
 // allocator whose output depends on emission order, so EmitOp returns
-// placeholder fragments and Assemble performs the whole (deterministic,
-// sequential) walk — parallel and sequential runs are trivially
-// byte-identical.
+// placeholder fragments and Assemble performs the whole walk in one
+// pass.
 type Backend struct{}
 
 // Target implements gen.Backend.

@@ -53,10 +53,9 @@ type def struct {
 	node *Node
 }
 
-// Backend implements gen.Backend for JSON Schema. EmitOp is pure — each
-// operation derives its $defs entry from the immutable plan alone — so
-// the pool parallelizes it, and Assemble merges fragments in plan
-// order.
+// Backend implements gen.Backend for JSON Schema. EmitOp derives each
+// operation's $defs entry from the immutable plan alone, and Assemble
+// merges the fragments in plan order.
 type Backend struct{}
 
 // Target implements gen.Backend.

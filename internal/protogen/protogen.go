@@ -27,10 +27,9 @@ import (
 // have no registered type, so they ship as plain text.
 const ContentType = "text/plain; charset=utf-8"
 
-// Backend implements gen.Backend for proto3. EmitOp is pure — each
-// operation derives its message/enum block from the immutable plan —
-// so the pool parallelizes it; Assemble concatenates blocks in plan
-// order under a deterministic per-unit header.
+// Backend implements gen.Backend for proto3. EmitOp derives each
+// operation's message/enum block from the immutable plan, and Assemble
+// concatenates the blocks in plan order under a per-unit header.
 type Backend struct{}
 
 // Target implements gen.Backend.

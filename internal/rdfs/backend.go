@@ -10,9 +10,7 @@ import (
 // Backend adapts the RDF Schema generator to the gen.Backend
 // interface. The vocabulary is a whole-model document (RDF has no
 // per-library modularity here), so EmitOp returns placeholder
-// fragments and Assemble renders the model in its deterministic
-// declaration order — parallel and sequential runs are trivially
-// byte-identical.
+// fragments and Assemble renders the model in its declaration order.
 type Backend struct{}
 
 // Target implements gen.Backend.

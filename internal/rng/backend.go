@@ -10,8 +10,7 @@ import (
 // Backend adapts the RELAX NG generator to the gen.Backend interface.
 // The grammar's define names come from a stateful prefix allocator
 // whose numbering depends on walk order, so EmitOp returns placeholder
-// fragments and Assemble performs the whole (deterministic, sequential)
-// walk — parallel and sequential runs are trivially byte-identical.
+// fragments and Assemble performs the whole walk in one pass.
 type Backend struct{}
 
 // Target implements gen.Backend.

@@ -396,12 +396,11 @@ func readSSE(t *testing.T, r *bufio.Reader) []sseEvent {
 }
 
 // TestJobsSSEMonotonicPerLibraryProgress watches a job live over SSE
-// with parallel emit enabled and asserts the stream's ordering
-// contract: strictly monotonic event IDs, a queued prelude, per-library
-// start/done pairs from the serialized status sink, and a terminal
-// completion event.
+// and asserts the stream's ordering contract: strictly monotonic event
+// IDs, a queued prelude, per-library start/done pairs from the
+// generator's status lines, and a terminal completion event.
 func TestJobsSSEMonotonicPerLibraryProgress(t *testing.T) {
-	s, mgr := newJobServer(t, t.TempDir(), Config{Parallelism: 4}, jobs.Config{Workers: 1})
+	s, mgr := newJobServer(t, t.TempDir(), Config{}, jobs.Config{Workers: 1})
 	defer mgr.Close(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -667,7 +666,7 @@ func TestJobsCancelOverHTTP(t *testing.T) {
 func TestJobsNoGoroutineLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	func() {
-		s, mgr := newJobServer(t, t.TempDir(), Config{Parallelism: 2}, jobs.Config{Workers: 4})
+		s, mgr := newJobServer(t, t.TempDir(), Config{}, jobs.Config{Workers: 4})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		res, err := http.Post(ts.URL+"/v1/jobs?"+docQuery, "application/xml", bytes.NewReader(sampleXMI(t)))

@@ -52,9 +52,6 @@ import (
 
 // Config tunes a Server.
 type Config struct {
-	// Parallelism is the emit-phase worker count per generation (see
-	// ccts.GenerateOptions.Parallelism). Values <= 1 emit sequentially.
-	Parallelism int
 	// MaxInFlight caps concurrently admitted generations/validations;
 	// requests beyond it answer 503. Default: 2 * GOMAXPROCS.
 	MaxInFlight int
@@ -567,7 +564,9 @@ func mapError(err error) *apiError {
 // declared Content-Length over the budget before any byte is read, a
 // body of unknown length once it passes the budget. A positive declared
 // length within the budget is read by readDeclared; a body that ends
-// short of it answers 400.
+// short of it answers 400, and one still unread when the connection's
+// read deadline passes (ccserved sets it from -request-timeout) answers
+// 408.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *apiError) {
 	max := s.lim.MaxInputBytes
 	if max <= 0 {
@@ -589,6 +588,9 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *apiE
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return nil, bodyTooLarge(max)
+		}
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			return nil, &apiError{Status: http.StatusRequestTimeout, Code: "timeout", Message: "request body not received within the server's read timeout"}
 		}
 		return nil, &apiError{Status: http.StatusBadRequest, Code: "body", Message: err.Error()}
 	}

