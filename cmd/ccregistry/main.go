@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -20,6 +21,7 @@ import (
 	"os"
 
 	ccts "github.com/go-ccts/ccts"
+	"github.com/go-ccts/ccts/internal/durable"
 )
 
 func main() {
@@ -118,11 +120,16 @@ func load(reg *ccts.Registry, path string) error {
 	return reg.LoadJSON(f)
 }
 
+// wrapStoreWriter is the fault-injection seam of save: tests interpose
+// a failing writer in front of the temp file. It is nil in production.
+var wrapStoreWriter func(io.Writer) io.Writer
+
+// save replaces the store atomically: a failed or interrupted save
+// leaves the previous store as it was.
 func save(reg *ccts.Registry, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := reg.SaveJSON(&buf); err != nil {
 		return err
 	}
-	defer f.Close()
-	return reg.SaveJSON(f)
+	return durable.WriteFile(path, buf.Bytes(), wrapStoreWriter)
 }

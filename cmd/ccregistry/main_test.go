@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	ccts "github.com/go-ccts/ccts"
+	"github.com/go-ccts/ccts/internal/faultio"
 	"github.com/go-ccts/ccts/internal/fixture"
 )
 
@@ -114,5 +116,74 @@ func TestHelpExitsZero(t *testing.T) {
 				t.Errorf("run(%q) = %v, want flag.ErrHelp (treated as success)", arg, err)
 			}
 		})
+	}
+}
+
+// TestSaveFailureKeepsStore injects a write fault into an import-csv
+// save: the error surfaces, the previous store is byte-identical and no
+// temp file remains.
+func TestSaveFailureKeepsStore(t *testing.T) {
+	dir := t.TempDir()
+	store := filepath.Join(dir, "reg.json")
+	csvPath := filepath.Join(dir, "harm.csv")
+	var buf bytes.Buffer
+	if err := run([]string{"-store", store, "register", sampleXMI(t, dir)}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-store", store, "export-csv", csvPath}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	wrapStoreWriter = func(w io.Writer) io.Writer { return &faultio.Writer{W: w, Limit: 10} }
+	defer func() { wrapStoreWriter = nil }()
+	err = run([]string{"-store", store, "import-csv", csvPath}, &buf)
+	if !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("import-csv with a failing save = %v, want the injected fault", err)
+	}
+	after, err := os.ReadFile(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Errorf("failed save changed the store: %d bytes before, %d after", len(before), len(after))
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmps) > 0 {
+		t.Errorf("failed save left %v", tmps)
+	}
+}
+
+// TestSaveKeepsStoreMode: a save replaces the store with a file of the
+// same permissions, so a reader running as another user (ccserved's
+// -registry) keeps its access.
+func TestSaveKeepsStoreMode(t *testing.T) {
+	dir := t.TempDir()
+	store := filepath.Join(dir, "reg.json")
+	var buf bytes.Buffer
+	if err := run([]string{"-store", store, "register", sampleXMI(t, dir)}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	mode := func() os.FileMode {
+		t.Helper()
+		fi, err := os.Stat(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Mode().Perm()
+	}
+	if got := mode(); got != 0o644 {
+		t.Errorf("new store has mode %v, want 0644", got)
+	}
+	if err := os.Chmod(store, 0o640); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-store", store, "register", sampleXMI(t, dir)}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := mode(); got != 0o640 {
+		t.Errorf("saved store has mode %v, want the previous 0640", got)
 	}
 }

@@ -1,13 +1,14 @@
 package main
 
-// Remote mode: with -server URL, ccrepo talks to a running ccserved
-// instance through internal/client instead of opening the repository
-// directory. Every call rides the client's retry policy — exponential
-// backoff with full jitter, the server's Retry-After honored — so a
-// publish issued while the service is shedding load or briefly
-// read-only succeeds once capacity or the disk comes back. Exit codes:
-// 2 for a policy rejection (same as local mode), 3 when the service is
-// unreachable (connection refused, DNS failure) after the retry budget.
+// The client side of every command but gc: publish, check, list and
+// get drive internal/client against ccserved's /v1/repo handlers —
+// over HTTP with -server URL, or in process over the -dir repository.
+// Every call rides the client's retry policy — exponential backoff
+// with full jitter, the server's Retry-After honored — so a publish
+// issued while the service is shedding load or briefly read-only
+// succeeds once capacity or the disk comes back. Exit codes: 2 for a
+// policy rejection, 3 when the service is unreachable (connection
+// refused, DNS failure) after the retry budget.
 //
 // -follow adds read replicas: list, get and check fan out across the
 // replicas first and fall back to the -server primary last, failing
@@ -37,13 +38,16 @@ import (
 	"github.com/go-ccts/ccts/internal/retry"
 )
 
-// remoteOptions are the global remote-mode knobs.
+// remoteOptions are the global client knobs.
 type remoteOptions struct {
 	server  string
 	follow  string
 	retries int
 	timeout time.Duration
 	apiKey  string
+	// http carries the requests; nil dials the network (-server), -dir
+	// serves them in process.
+	http *http.Client
 }
 
 func (o *remoteOptions) register(fs *flag.FlagSet) {
@@ -57,6 +61,7 @@ func (o *remoteOptions) register(fs *flag.FlagSet) {
 // client builds one remote client for base.
 func (o *remoteOptions) client(base string) *client.Client {
 	return client.New(base, client.Options{
+		HTTP:   o.http,
 		APIKey: o.apiKey,
 		Retry: retry.Policy{
 			MaxAttempts: o.retries,
@@ -70,19 +75,15 @@ func (o *remoteOptions) client(base string) *client.Client {
 // newClients builds the primary client, the read fan-out and the
 // command context. The fan-out tries each -follow replica in order and
 // the primary last; with no -follow it is just the primary.
-func (o *remoteOptions) newClients() (*client.Client, *readFanout, context.Context, context.CancelFunc) {
+func (o *remoteOptions) newClients() (*client.Client, readFanout, context.Context, context.CancelFunc) {
 	primary := o.client(o.server)
-	f := &readFanout{}
-	if o.follow != "" {
-		for _, base := range strings.Split(o.follow, ",") {
-			base = strings.TrimSpace(base)
-			if base == "" {
-				continue
-			}
-			f.add(base, o.client(base))
+	var f readFanout
+	for _, base := range strings.Split(o.follow, ",") {
+		if base = strings.TrimSpace(base); base != "" {
+			f = append(f, endpoint{base, o.client(base)})
 		}
 	}
-	f.add(o.server, primary)
+	f = append(f, endpoint{o.server, primary})
 	if o.timeout > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), o.timeout)
 		return primary, f, ctx, cancel
@@ -91,14 +92,12 @@ func (o *remoteOptions) newClients() (*client.Client, *readFanout, context.Conte
 }
 
 // readFanout routes a read across replicas first, primary last.
-type readFanout struct {
-	names   []string
-	clients []*client.Client
-}
+type readFanout []endpoint
 
-func (f *readFanout) add(name string, c *client.Client) {
-	f.names = append(f.names, name)
-	f.clients = append(f.clients, c)
+// endpoint is one server of a fan-out, named by its base URL.
+type endpoint struct {
+	name string
+	c    *client.Client
 }
 
 // failsOver reports whether the next endpoint could answer where this
@@ -118,11 +117,11 @@ func failsOver(err error) bool {
 
 // fanDo runs op against each endpoint in order until one succeeds or a
 // conclusive failure ends the chain.
-func fanDo[T any](ctx context.Context, f *readFanout, op func(context.Context, *client.Client) (T, error)) (T, error) {
+func fanDo[T any](ctx context.Context, f readFanout, op func(context.Context, *client.Client) (T, error)) (T, error) {
 	var zero T
 	var last error
-	for i, c := range f.clients {
-		res, err := op(ctx, c)
+	for i, e := range f {
+		res, err := op(ctx, e.c)
 		if err == nil {
 			return res, nil
 		}
@@ -130,14 +129,14 @@ func fanDo[T any](ctx context.Context, f *readFanout, op func(context.Context, *
 		if ctx.Err() != nil || !failsOver(err) {
 			return zero, err
 		}
-		if i < len(f.clients)-1 {
-			fmt.Fprintf(os.Stderr, "ccrepo: %s failed (%v); trying %s\n", f.names[i], err, f.names[i+1])
+		if i < len(f)-1 {
+			fmt.Fprintf(os.Stderr, "ccrepo: %s failed (%v); trying %s\n", e.name, err, f[i+1].name)
 		}
 	}
 	return zero, last
 }
 
-// runRemote dispatches one subcommand against the service.
+// runRemote dispatches one subcommand through the client.
 func runRemote(o *remoteOptions, rest []string, out io.Writer) error {
 	primary, fan, ctx, cancel := o.newClients()
 	defer cancel()
@@ -166,7 +165,7 @@ func remotePublish(ctx context.Context, c *client.Client, args []string, out io.
 		return err
 	}
 	if p.subject == "" || p.library == "" || fs.NArg() != 1 {
-		return errors.New("usage: ccrepo -server URL publish -subject S -library L [-root R] [-policy P] model.xmi")
+		return errors.New("usage: ccrepo publish -subject S -library L [-root R] [-policy P] model.xmi")
 	}
 	input, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
@@ -194,7 +193,7 @@ func remotePublish(ctx context.Context, c *client.Client, args []string, out io.
 	return nil
 }
 
-func remoteCheck(ctx context.Context, fan *readFanout, args []string, out io.Writer) error {
+func remoteCheck(ctx context.Context, fan readFanout, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ccrepo check", flag.ContinueOnError)
 	var p pipelineFlags
 	p.register(fs)
@@ -202,7 +201,7 @@ func remoteCheck(ctx context.Context, fan *readFanout, args []string, out io.Wri
 		return err
 	}
 	if p.subject == "" || fs.NArg() != 1 {
-		return errors.New("usage: ccrepo -server URL check -subject S model.xmi")
+		return errors.New("usage: ccrepo check -subject S model.xmi")
 	}
 	input, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
@@ -223,9 +222,9 @@ func remoteCheck(ctx context.Context, fan *readFanout, args []string, out io.Wri
 	return nil
 }
 
-func remoteList(ctx context.Context, fan *readFanout, args []string, out io.Writer) error {
+func remoteList(ctx context.Context, fan readFanout, args []string, out io.Writer) error {
 	if len(args) > 1 {
-		return errors.New("usage: ccrepo -server URL list [SUBJECT]")
+		return errors.New("usage: ccrepo list [SUBJECT]")
 	}
 	if len(args) == 0 {
 		// Prefer the cluster-wide aggregate: against a shard cluster any
@@ -235,32 +234,29 @@ func remoteList(ctx context.Context, fan *readFanout, args []string, out io.Writ
 		agg, err := fanDo(ctx, fan, func(ctx context.Context, c *client.Client) (*client.AggregateSubjects, error) {
 			return c.ListAll(ctx)
 		})
-		if err != nil {
-			var ae *client.APIError
-			if !errors.As(err, &ae) || ae.Status != http.StatusNotFound {
-				return err
-			}
-			subs, err := fanDo(ctx, fan, func(ctx context.Context, c *client.Client) ([]client.Subject, error) {
+		var ae *client.APIError
+		if errors.As(err, &ae) && ae.Status == http.StatusNotFound {
+			var subs []client.Subject
+			subs, err = fanDo(ctx, fan, func(ctx context.Context, c *client.Client) ([]client.Subject, error) {
 				return c.Subjects(ctx)
 			})
-			if err != nil {
-				return err
-			}
+			agg = &client.AggregateSubjects{}
 			for _, s := range subs {
-				fmt.Fprintf(out, "%-50s %-9s %3d version(s) latest %d\n", s.Name, s.Policy, s.Versions, s.Latest)
+				agg.Subjects = append(agg.Subjects, client.AggregateSubject{Name: s.Name, Policy: s.Policy, Versions: s.Versions, Latest: s.Latest})
 			}
-			fmt.Fprintf(out, "%d subject(s)\n", len(subs))
-			return nil
+		}
+		if err != nil {
+			return err
 		}
 		for _, u := range agg.Unreachable {
 			fmt.Fprintf(os.Stderr, "ccrepo: shard %s (%s) unreachable: %s — listing is partial\n", u.ID, u.Addr, u.Error)
 		}
 		for _, s := range agg.Subjects {
+			line := fmt.Sprintf("%-50s %-9s %3d version(s) latest %d", s.Name, s.Policy, s.Versions, s.Latest)
 			if s.Shard != "" {
-				fmt.Fprintf(out, "%-50s %-9s %3d version(s) latest %d  shard %s\n", s.Name, s.Policy, s.Versions, s.Latest, s.Shard)
-				continue
+				line += "  shard " + s.Shard
 			}
-			fmt.Fprintf(out, "%-50s %-9s %3d version(s) latest %d\n", s.Name, s.Policy, s.Versions, s.Latest)
+			fmt.Fprintln(out, line)
 		}
 		if agg.Shards > 1 {
 			fmt.Fprintf(out, "%d subject(s) across %d shard(s) (%d reached)\n", len(agg.Subjects), agg.Shards, agg.Reached)
@@ -285,7 +281,7 @@ func remoteList(ctx context.Context, fan *readFanout, args []string, out io.Writ
 	return nil
 }
 
-func remoteGet(ctx context.Context, fan *readFanout, args []string, out io.Writer) error {
+func remoteGet(ctx context.Context, fan readFanout, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ccrepo get", flag.ContinueOnError)
 	subject := fs.String("subject", "", "subject to read")
 	version := fs.String("version", "latest", "version number or 'latest'")
@@ -295,7 +291,7 @@ func remoteGet(ctx context.Context, fan *readFanout, args []string, out io.Write
 		return err
 	}
 	if *subject == "" || fs.NArg() != 0 {
-		return errors.New("usage: ccrepo -server URL get -subject S [-version N|latest] [-file NAME] [-out DIR]")
+		return errors.New("usage: ccrepo get -subject S [-version N|latest] [-file NAME] [-out DIR]")
 	}
 	number := 0
 	if *version != "latest" {

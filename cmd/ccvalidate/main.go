@@ -17,6 +17,7 @@ import (
 	"os"
 
 	ccts "github.com/go-ccts/ccts"
+	"github.com/go-ccts/ccts/internal/validate"
 )
 
 func main() {
@@ -58,7 +59,8 @@ func validateModel(path string, out io.Writer) error {
 	}
 	defer f.Close()
 
-	// First the profile's OCL constraints on the raw UML model, then —
+	// The profile's OCL constraints on the raw UML model, which keeps
+	// what extraction drops (an enumeration in a CCLibrary, say), then —
 	// if extraction is possible — the semantic rules on the typed model.
 	um, err := ccts.ImportUMLXMI(f)
 	if err != nil {
@@ -69,7 +71,7 @@ func validateModel(path string, out io.Writer) error {
 	if err != nil {
 		fmt.Fprintf(out, "extraction failed: %v\n", err)
 	} else {
-		report.Findings = append(report.Findings, ccts.ValidateModel(model).Findings...)
+		report.Findings = append(report.Findings, validate.Model(model).Findings...)
 	}
 
 	if len(report.Findings) == 0 {

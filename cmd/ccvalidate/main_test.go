@@ -11,6 +11,8 @@ import (
 
 	ccts "github.com/go-ccts/ccts"
 	"github.com/go-ccts/ccts/internal/fixture"
+	"github.com/go-ccts/ccts/internal/profile"
+	"github.com/go-ccts/ccts/internal/uml"
 )
 
 func exportModel(t *testing.T, m *ccts.Model, path string) {
@@ -74,8 +76,60 @@ func TestValidateBrokenModel(t *testing.T) {
 	if err == nil {
 		t.Error("broken model should fail")
 	}
-	if !strings.Contains(out, "LIB-1") {
-		t.Errorf("output missing rule ID: %q", out)
+	// Each finding once: the OCL constraints run in one pass only.
+	for _, rule := range []string{"LIB-1", "SEM-NS-1"} {
+		if n := strings.Count(out, "["+rule+"]"); n != 1 {
+			t.Errorf("%s reported %d time(s), want once: %q", rule, n, out)
+		}
+	}
+}
+
+// TestValidateDroppedEnumeration puts an enumeration into a CCLibrary.
+// Extraction drops it without an error, so only the constraints on the
+// imported model can report CCL-3.
+func TestValidateDroppedEnumeration(t *testing.T) {
+	dir := t.TempDir()
+	f, err := fixture.BuildHoardingPermit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	um := ccts.ToUML(f.Model)
+	var ccLib *uml.Package
+	var walk func([]*uml.Package)
+	walk = func(pkgs []*uml.Package) {
+		for _, p := range pkgs {
+			if p.Name == f.CCLib.Name {
+				ccLib = p
+			}
+			walk(p.Packages)
+		}
+	}
+	walk(um.Packages)
+	if ccLib == nil {
+		t.Fatalf("no package %q in the rendered model", f.CCLib.Name)
+	}
+	ccLib.AddEnumeration("Stray", profile.StENUM)
+	path := filepath.Join(dir, "stray.xmi")
+	file, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ccts.ExportUMLXMI(um, file); err != nil {
+		t.Fatal(err)
+	}
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	out, err := capture(t, []string{"-model", path})
+	if err == nil {
+		t.Error("a CCLibrary with an enumeration should fail")
+	}
+	if strings.Contains(out, "extraction failed") {
+		t.Fatalf("extraction should drop the enumeration, not fail: %q", out)
+	}
+	if n := strings.Count(out, "[CCL-3]"); n != 1 {
+		t.Errorf("CCL-3 reported %d time(s), want once: %q", n, out)
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"github.com/go-ccts/ccts/internal/repo"
 	"github.com/go-ccts/ccts/internal/retry"
 	"github.com/go-ccts/ccts/internal/shard"
+	"github.com/go-ccts/ccts/internal/validate"
 )
 
 // APIError is a structured non-2xx answer from the server.
@@ -53,13 +54,19 @@ type APIError struct {
 	Epoch int64
 
 	retryAfter time.Duration
+	// findings are the envelope's validation findings (a 422's reasons).
+	findings []validate.Finding
 }
 
 func (e *APIError) Error() string {
-	if e.Message != "" {
-		return fmt.Sprintf("server answered %d (%s): %s", e.Status, e.Code, e.Message)
+	if e.Message == "" {
+		return fmt.Sprintf("server answered %d", e.Status)
 	}
-	return fmt.Sprintf("server answered %d", e.Status)
+	msg := fmt.Sprintf("server answered %d (%s): %s", e.Status, e.Code, e.Message)
+	for _, f := range e.findings {
+		msg += "\n" + f.String()
+	}
+	return msg
 }
 
 // RetryAfter exposes the server's Retry-After hint; internal/retry uses
@@ -455,11 +462,15 @@ func (c *Client) doAt(ctx context.Context, base, method, path string, query url.
 		}
 		ae := &APIError{Status: resp.StatusCode, Body: data}
 		var envelope struct {
-			Error   string `json:"error"`
-			Code    string `json:"code"`
-			Primary string `json:"primary"`
-			Owner   string `json:"owner"`
-			Epoch   int64  `json:"epoch"`
+			Error    string `json:"error"`
+			Code     string `json:"code"`
+			Primary  string `json:"primary"`
+			Owner    string `json:"owner"`
+			Epoch    int64  `json:"epoch"`
+			Findings []struct {
+				Rule, Severity, Element, Message string
+				Line, Col                        int
+			} `json:"findings"`
 		}
 		if json.Unmarshal(data, &envelope) == nil {
 			ae.Code = envelope.Code
@@ -467,6 +478,13 @@ func (c *Client) doAt(ctx context.Context, base, method, path string, query url.
 			ae.Primary = envelope.Primary
 			ae.Owner = envelope.Owner
 			ae.Epoch = envelope.Epoch
+			for _, f := range envelope.Findings {
+				sev := validate.Error
+				if f.Severity == validate.Warning.String() {
+					sev = validate.Warning
+				}
+				ae.findings = append(ae.findings, validate.Finding{Rule: f.Rule, Severity: sev, Element: f.Element, Message: f.Message, Line: f.Line, Col: f.Col})
+			}
 		}
 		if ae.Primary == "" {
 			ae.Primary = resp.Header.Get("Location")

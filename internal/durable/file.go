@@ -11,10 +11,11 @@ import (
 
 // WriteFile atomically replaces path with data: the bytes go through
 // wrap into a temp file "<name>.tmp*" beside path, which is fsynced,
-// closed and renamed onto path, and then the directory is fsynced. A
-// failure before the rename removes the temp file, leaving path as it
-// was. A failed directory sync is returned too: the content is in
-// place, but the rename may not survive power loss.
+// closed and renamed onto path, and then the directory is fsynced. The
+// file keeps the permissions of the file it replaces, and a new file
+// gets 0644. A failure before the rename removes the temp file, leaving
+// path as it was. A failed directory sync is returned too: the content
+// is in place, but the rename may not survive power loss.
 func WriteFile(path string, data []byte, wrap func(io.Writer) io.Writer) (err error) {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -28,6 +29,13 @@ func WriteFile(path string, data []byte, wrap func(io.Writer) io.Writer) (err er
 			os.Remove(tmp)
 		}
 	}()
+	perm := fs.FileMode(0o644) // CreateTemp's own 0600 would hide the file from other readers
+	if fi, err := os.Stat(path); err == nil {
+		perm = fi.Mode().Perm()
+	}
+	if err := f.Chmod(perm); err != nil {
+		return fmt.Errorf("setting permissions of %s: %w", path, err)
+	}
 	var w io.Writer = f
 	if wrap != nil {
 		w = wrap(w)

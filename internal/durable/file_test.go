@@ -61,6 +61,35 @@ func TestWriteFileReplacesAtomically(t *testing.T) {
 	}
 }
 
+// TestWriteFileKeepsPermissions: a new file is 0644, and a replaced
+// file keeps the permissions it had.
+func TestWriteFileKeepsPermissions(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "doc.json")
+	perm := func() os.FileMode {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Mode().Perm()
+	}
+	if err := WriteFile(path, []byte("old"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := perm(); got != 0o644 {
+		t.Errorf("new file has mode %v, want 0644", got)
+	}
+	if err := os.Chmod(path, 0o640); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(path, []byte("new"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := perm(); got != 0o640 {
+		t.Errorf("replaced file has mode %v, want 0640", got)
+	}
+}
+
 func TestWriteFileMissingDirectory(t *testing.T) {
 	if err := WriteFile(filepath.Join(t.TempDir(), "absent", "f"), []byte("x"), nil); err == nil {
 		t.Fatal("write into a missing directory succeeded")

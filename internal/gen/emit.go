@@ -188,7 +188,6 @@ func (p *Plan) merge(outs [][]opOut) (*Result, error) {
 		})
 		res.RootElement = rootName
 	}
-	p.opts.status("generated %d schema(s)", len(res.Order))
 	return res, nil
 }
 

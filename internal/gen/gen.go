@@ -138,7 +138,12 @@ func GenerateDocument(lib *core.Library, rootABIE string, opts Options) (*Result
 	if err != nil {
 		return nil, err
 	}
-	return plan.Execute()
+	res, err := plan.Execute()
+	if err != nil {
+		return nil, err
+	}
+	opts.status("generated %d schema(s)", len(res.Order))
+	return res, nil
 }
 
 // resolveIndex returns the caller-supplied index or builds one covering

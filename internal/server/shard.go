@@ -368,7 +368,7 @@ func (s *Server) shardSubjects(ctx context.Context, cur *shard.Map) ([]string, e
 		var listing []struct {
 			Name string `json:"name"`
 		}
-		if err := shardGetJSON(ctx, addr+"/v1/repo/subjects", &listing); err != nil {
+		if err := shard.GetJSON(ctx, shardHTTPClient, addr+"/v1/repo/subjects", &listing); err != nil {
 			return nil, fmt.Errorf("listing subjects of %s: %w", addr, err)
 		}
 		for _, e := range listing {
@@ -389,10 +389,6 @@ func (s *Server) shardSubjects(ctx context.Context, cur *shard.Map) ([]string, e
 // answers 409 stale_epoch, which is tolerated — a racing coordinator
 // already moved the cluster past this step.
 func (s *Server) pushMap(ctx context.Context, m *shard.Map, cur *shard.Map, next []shard.Shard) error {
-	data, err := m.Encode()
-	if err != nil {
-		return err
-	}
 	for _, addr := range shardAddrs(cur, next) {
 		if s.isSelfShardAddr(cur, addr) {
 			if err := s.shard.Install(m); err != nil && !errors.Is(err, shard.ErrStaleEpoch) {
@@ -400,19 +396,8 @@ func (s *Server) pushMap(ctx context.Context, m *shard.Map, cur *shard.Map, next
 			}
 			continue
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, addr+"/v1/shard/map", bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := shardHTTPClient.Do(req)
-		if err != nil {
+		if err := shard.PushMap(ctx, shardHTTPClient, m, addr); err != nil {
 			return fmt.Errorf("pushing map epoch %d to %s: %w", m.Epoch, addr, err)
-		}
-		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusConflict {
-			return fmt.Errorf("pushing map epoch %d to %s: %s: %s", m.Epoch, addr, resp.Status, strings.TrimSpace(string(snippet)))
 		}
 	}
 	return nil
@@ -582,7 +567,7 @@ func (s *Server) handleRepoAggregate(w http.ResponseWriter, r *http.Request) {
 			ctx, cancel := context.WithTimeout(r.Context(), shardListTimeout)
 			defer cancel()
 			var listing []aggregateSubject
-			if err := shardGetJSON(ctx, strings.TrimRight(ep.addr, "/")+"/v1/repo/subjects", &listing); err != nil {
+			if err := shard.GetJSON(ctx, shardHTTPClient, strings.TrimRight(ep.addr, "/")+"/v1/repo/subjects", &listing); err != nil {
 				answers[i] = answer{err: err}
 				return
 			}
@@ -654,26 +639,4 @@ func shardAddrs(cur *shard.Map, next []shard.Shard) []string {
 func (s *Server) isSelfShardAddr(cur *shard.Map, addr string) bool {
 	self, ok := cur.Shard(s.shard.Self())
 	return ok && strings.TrimRight(self.Addr, "/") == strings.TrimRight(addr, "/")
-}
-
-// shardGetJSON fetches one JSON document from a peer.
-func shardGetJSON(ctx context.Context, u string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := shardHTTPClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("GET %s: %s: %s", u, resp.Status, strings.TrimSpace(string(snippet)))
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(data, out)
 }

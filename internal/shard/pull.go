@@ -36,7 +36,7 @@ func Pull(ctx context.Context, hc *http.Client, dst *repo.Repo, fromAddr, subjec
 		Versions []repo.Version `json:"versions"`
 	}
 	u := base + "/v1/repo/subjects/" + url.PathEscape(subject) + "/versions"
-	if err := getJSON(ctx, hc, u, &listing); err != nil {
+	if err := GetJSON(ctx, hc, u, &listing); err != nil {
 		return 0, fmt.Errorf("shard: pulling %s from %s: %w", subject, fromAddr, err)
 	}
 	policy, err := repo.ParsePolicy(listing.Policy)
@@ -75,8 +75,9 @@ func Pull(ctx context.Context, hc *http.Client, dst *repo.Repo, fromAddr, subjec
 	return adopted, nil
 }
 
-// getJSON fetches and decodes one JSON document.
-func getJSON(ctx context.Context, hc *http.Client, u string, out any) error {
+// GetJSON fetches one JSON document from a peer, demanding a 200, and
+// decodes it into out.
+func GetJSON(ctx context.Context, hc *http.Client, u string, out any) error {
 	data, err := getBytes(ctx, hc, u)
 	if err != nil {
 		return err

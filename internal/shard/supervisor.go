@@ -349,7 +349,7 @@ func (s *Supervisor) probeAndSync(ctx context.Context, m *Map, addr string) erro
 		return errReadOnlyProbe
 	}
 	if doc.Shard != nil && doc.Shard.Epoch > 0 && doc.Shard.Epoch < m.Epoch {
-		if err := s.pushMapTo(ctx, m, addr); err != nil {
+		if err := PushMap(ctx, s.http, m, addr); err != nil {
 			s.logf("shard supervisor: re-pushing map epoch %d to lagging %s: %v", m.Epoch, addr, err)
 		} else {
 			s.logf("shard supervisor: re-pushed map epoch %d to %s (was at %d)", m.Epoch, addr, doc.Shard.Epoch)
@@ -503,12 +503,12 @@ func (s *Supervisor) pushEverywhere(ctx context.Context, next *Map, deadAddr str
 		if addr == strings.TrimRight(deadAddr, "/") || addr == strings.TrimRight(self, "/") {
 			continue
 		}
-		if err := s.pushMapTo(ctx, next, addr); err != nil {
+		if err := PushMap(ctx, s.http, next, addr); err != nil {
 			failed = append(failed, fmt.Sprintf("%s: %v", addr, err))
 		}
 	}
 	if deadAddr != "" {
-		_ = s.pushMapTo(ctx, next, deadAddr)
+		_ = PushMap(ctx, s.http, next, deadAddr)
 	}
 	if len(failed) > 0 {
 		return fmt.Errorf("map epoch %d installed locally but not everywhere: %s", next.Epoch, strings.Join(failed, "; "))
@@ -516,8 +516,9 @@ func (s *Supervisor) pushEverywhere(ctx context.Context, next *Map, deadAddr str
 	return nil
 }
 
-// pushMapTo PUTs the map at one peer, tolerating 409 stale_epoch.
-func (s *Supervisor) pushMapTo(ctx context.Context, m *Map, addr string) error {
+// PushMap PUTs the map at one peer, tolerating 409 stale_epoch: a peer
+// already ahead was moved past this map by a racing coordinator.
+func PushMap(ctx context.Context, hc *http.Client, m *Map, addr string) error {
 	data, err := m.Encode()
 	if err != nil {
 		return err
@@ -527,7 +528,7 @@ func (s *Supervisor) pushMapTo(ctx context.Context, m *Map, addr string) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.http.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
 		return err
 	}
