@@ -24,6 +24,7 @@ import (
 	"syscall"
 
 	ccts "github.com/go-ccts/ccts"
+	"github.com/go-ccts/ccts/internal/validate"
 )
 
 func main() {
@@ -75,8 +76,12 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	model, err := ccts.ImportXMI(f)
+	um, err := ccts.ImportUMLXMI(f)
 	f.Close()
+	var model *ccts.Model
+	if err == nil {
+		model, err = ccts.FromUML(um)
+	}
 	if err != nil {
 		return fmt.Errorf("importing %s: %w", *modelPath, err)
 	}
@@ -85,7 +90,10 @@ func run(args []string) error {
 	index := ccts.ResolveModel(model)
 
 	if !*skipCheck {
-		report := ccts.ValidateModelIndexed(model, index)
+		// The profile's constraints run on the imported model, which
+		// keeps what extraction drops (an enumeration in a CCLibrary).
+		report := validate.ModelIndexed(model, index)
+		report.Findings = append(report.Findings, validate.UML(um).Findings...)
 		for _, finding := range report.Findings {
 			fmt.Fprintln(os.Stderr, finding)
 		}

@@ -12,6 +12,7 @@ import (
 
 	ccts "github.com/go-ccts/ccts"
 	"github.com/go-ccts/ccts/internal/fixture"
+	"github.com/go-ccts/ccts/internal/profile"
 )
 
 // writeSampleModel exports the HoardingPermit fixture as XMI into dir.
@@ -280,5 +281,50 @@ func TestGenerateCLIValidatesModel(t *testing.T) {
 	})
 	if err != nil && strings.Contains(err.Error(), "validation errors") {
 		t.Errorf("-skip-validation did not skip: %v", err)
+	}
+}
+
+// TestGenerateCLIChecksImportedModel puts an enumeration into the
+// CCLibrary. Extraction drops it without an error, so only the
+// constraints on the imported model see it: ccgen must refuse the model
+// (exit status 1) and name CCL-3 among the findings on stderr.
+func TestGenerateCLIChecksImportedModel(t *testing.T) {
+	dir := t.TempDir()
+	f, err := fixture.BuildHoardingPermit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	um := ccts.ToUML(f.Model)
+	um.FindPackage(f.CCLib.Name).AddEnumeration("Stray", profile.StENUM)
+	path := filepath.Join(dir, "stray.xmi")
+	file, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ccts.ExportUMLXMI(um, file); err != nil {
+		t.Fatal(err)
+	}
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	stderr, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	saved := os.Stderr
+	os.Stderr = stderr
+	err = run([]string{"-model", path, "-library", "CommonAggregates", "-out", filepath.Join(dir, "s"), "-quiet"})
+	os.Stderr = saved
+	if err == nil || !strings.Contains(err.Error(), "validation errors") {
+		t.Errorf("err = %v, want the validation abort", err)
+	}
+	logged, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(logged), "[CCL-3]") {
+		t.Errorf("stderr does not name CCL-3:\n%s", logged)
 	}
 }

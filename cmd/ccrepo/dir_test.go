@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/go-ccts/ccts/internal/fixture"
@@ -105,6 +106,25 @@ func TestFollowNeedsServer(t *testing.T) {
 	err := run([]string{"-dir", t.TempDir(), "-follow", "http://localhost:1", "list"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "-server") {
 		t.Fatalf("-follow without -server = %v, want a usage error naming -server", err)
+	}
+}
+
+// TestDefaultPolicyNeedsDir: -default-policy is parsed before ccrepo
+// dispatches to a server, and setting it with -server is a usage error,
+// since ccserved's -repo-policy sets the server's default. Neither
+// invocation reaches the server.
+func TestDefaultPolicyNeedsDir(t *testing.T) {
+	var hits atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { hits.Add(1) }))
+	defer srv.Close()
+	for value, want := range map[string]string{"strict": "unknown compatibility policy", "none": "-repo-policy"} {
+		err := run([]string{"-server", srv.URL, "-default-policy", value, "list"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-default-policy %s with -server = %v, want an error naming %q", value, err, want)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Errorf("the server saw %d request(s), want none", n)
 	}
 }
 

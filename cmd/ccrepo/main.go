@@ -65,7 +65,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ccrepo", flag.ContinueOnError)
 	dir := fs.String("dir", "ccrepo-data", "repository directory")
-	defPolicy := fs.String("default-policy", "backward", "policy for subjects created without an explicit -policy")
+	defPolicy := fs.String("default-policy", "backward", "policy for subjects created without an explicit -policy (-dir only; ccserved's -repo-policy sets a server's)")
 	var remote remoteOptions
 	remote.register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -75,17 +75,21 @@ func run(args []string, out io.Writer) error {
 	if len(rest) == 0 {
 		return errors.New("usage: ccrepo [-dir DIR | -server URL] publish|check|list|get|gc ... (-h for details)")
 	}
-	if remote.server != "" {
-		return runRemote(&remote, rest, out)
-	}
-	if remote.follow != "" {
-		return errors.New("-follow names read replicas of a -server; it needs -server")
-	}
-
 	policy, err := repo.ParsePolicy(*defPolicy)
 	if err != nil {
 		return err
 	}
+	explicitPolicy := false
+	fs.Visit(func(f *flag.Flag) { explicitPolicy = explicitPolicy || f.Name == "default-policy" })
+	switch {
+	case remote.server != "" && explicitPolicy:
+		return errors.New("-default-policy sets the default of a -dir repository; ccserved's -repo-policy sets the server's")
+	case remote.server != "":
+		return runRemote(&remote, rest, out)
+	case remote.follow != "":
+		return errors.New("-follow names read replicas of a -server; it needs -server")
+	}
+
 	r, err := repo.Open(*dir, repo.Config{DefaultPolicy: policy})
 	if err != nil {
 		return err

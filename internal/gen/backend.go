@@ -6,12 +6,6 @@ import (
 	"github.com/go-ccts/ccts/internal/core"
 )
 
-// Fragment is the value one emission operation produces for a backend:
-// an opaque, backend-defined intermediate (an XSD type node, a JSON
-// Schema definition, a proto message body). Fragments are assembled
-// into files strictly in plan order.
-type Fragment any
-
 // OutFile is one generated output document.
 type OutFile struct {
 	Name string
@@ -35,56 +29,35 @@ type Output struct {
 	RootElement string
 }
 
-// Backend turns a plan into target-language output. The contract:
-//
-//   - EmitOp is called once per op, in plan order, each call isolated:
-//     a panic becomes that op's OpError and the run goes on. It should
-//     be a function of the immutable plan, unit and op alone.
-//   - Assemble receives every fragment in exact plan order (fragment
-//     [i][j] belongs to unit i, op j) and runs once. All ordering,
-//     numbering and naming that depends on position belongs here (or
-//     in the plan), never in EmitOp.
-//
-// A backend whose output depends on emission order (e.g. stateful
-// unique-name allocation) can return placeholder fragments from EmitOp
-// and do the full walk in Assemble.
+// Backend turns a plan into target-language output: each target is
+// one view of the same plan. Generate is a function of the immutable
+// plan alone and runs on the caller's goroutine. A backend that renders
+// one block per op walks the plan with EachOp, which gives it plan
+// order, per-op panic isolation, cancellation and the "emitted" status
+// lines. A backend whose output depends on a stateful walk of its own
+// (unique-name allocation, say) renders the plan in one pass without
+// per-op isolation.
 type Backend interface {
 	// Target returns the backend identifier used in CLI flags and the
 	// /v1/generate 'target' parameter.
 	Target() string
 	// ContentType returns the MIME type of generated files.
 	ContentType() string
-	// EmitOp produces the fragment for one operation.
-	EmitOp(p *Plan, u *Unit, op Op) (Fragment, error)
-	// Assemble merges the per-op fragments into output files.
-	Assemble(p *Plan, frags [][]Fragment) (*Output, error)
+	// Generate renders the plan's output files.
+	Generate(p *Plan) (*Output, error)
 }
 
-// ExecuteBackend runs the emit phase through a backend on the same
-// loop as Execute, with the same guarantees: per-op panic isolation
-// into OpError, errors.Join aggregation and a cancellation check
-// before each op.
+// ExecuteBackend runs a plan through a backend: a cancellation check,
+// one Generate call, then the run's summary status line.
 func (p *Plan) ExecuteBackend(b Backend) (*Output, error) {
-	frags, err := executeGrid(p, func(u *Unit, op Op) (Fragment, error) {
-		frag, err := b.EmitOp(p, u, op)
-		if err != nil {
-			err = fmt.Errorf("gen: emitting %s of %s %q: %w", opLabel(op), u.lib.Kind, u.lib.Name, err)
-		}
-		return frag, err
-	})
+	if err := p.opts.ctx().Err(); err != nil {
+		return nil, fmt.Errorf("gen: emit cancelled: %w", err)
+	}
+	out, err := b.Generate(p)
 	if err != nil {
 		return nil, err
 	}
-	out, err := b.Assemble(p, frags)
-	if err != nil {
-		return nil, err
-	}
-	if out.Target == "" {
-		out.Target = b.Target()
-	}
-	if out.ContentType == "" {
-		out.ContentType = b.ContentType()
-	}
+	out.Target, out.ContentType = b.Target(), b.ContentType()
 	p.opts.status("generated %d %s file(s)", len(out.Files), out.Target)
 	return out, nil
 }
@@ -94,19 +67,12 @@ func (p *Plan) ExecuteBackend(b Backend) (*Output, error) {
 // read-only.
 func (p *Plan) Units() []*Unit { return p.units }
 
-// Prefix returns the namespace prefix the plan allocated for a
-// library (empty for libraries the plan does not touch).
-func (p *Plan) Prefix(lib *core.Library) string { return p.prefixes[lib] }
-
 // Root returns the selected root ABIE of a document plan, or nil for
 // library plans.
 func (p *Plan) Root() *core.ABIE { return p.root }
 
 // Annotate reports whether the run asked for embedded documentation.
 func (p *Plan) Annotate() bool { return p.opts.Annotate }
-
-// Style returns the run's ASBIE global-element style.
-func (p *Plan) Style() ASBIEStyle { return p.opts.Style }
 
 // Profile returns the run's generation profile (possibly nil).
 func (p *Plan) Profile() *Profile { return p.opts.Profile }
@@ -131,10 +97,6 @@ func (u *Unit) File() string { return u.file }
 
 // Ops returns the unit's emission operations in plan order.
 func (u *Unit) Ops() []Op { return u.ops }
-
-// Globals returns the ASBIEs declared as global elements, in the order
-// the plan walk first reached them.
-func (u *Unit) Globals() []*core.ASBIE { return u.globals }
 
 // ImportedLibraries returns the libraries this unit imports, in
 // first-use order.

@@ -11,13 +11,6 @@ import (
 	"github.com/go-ccts/ccts/internal/xsd"
 )
 
-// opOut is the node produced by one emission operation: a complexType
-// (ABIE, CDT, QDT) or a simpleType (ENUM).
-type opOut struct {
-	ct *xsd.ComplexType
-	st *xsd.SimpleType
-}
-
 // OpError is the structured error produced when one emission operation
 // panics. The panic is confined to the operation: every other
 // operation still runs, so a single run reports every failing
@@ -58,97 +51,85 @@ func opLabel(op Op) string {
 // or cancel the run to prove panic isolation and cancellation.
 var testEmitFault func(lib *core.Library, op string)
 
-// safeOp runs operation j of a unit through run with panic isolation:
-// a panicking operation becomes a structured OpError instead of
-// crashing the process. The native XSD path and every backend run
-// their operations through it.
-func safeOp[T any](u *Unit, j int, run func(*Unit, Op) (T, error)) (out T, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			var zero T
-			out, err = zero, &OpError{
-				Library:   u.lib.Name,
-				Kind:      u.lib.Kind.String(),
-				Op:        opLabel(u.ops[j]),
-				Recovered: r,
-				Stack:     debug.Stack(),
-			}
-		}
-	}()
-	if testEmitFault != nil {
-		testEmitFault(u.lib, opLabel(u.ops[j]))
-	}
-	return run(u, u.ops[j])
-}
-
-// Execute runs the emit phase: every operation of the plan is executed
-// in plan order, and the resulting nodes are merged into schema
-// documents. The plan fixed all ordering, prefixes and imports up
-// front, so the output is a function of the plan alone.
+// EachOp is the emit phase's one op loop: it calls fn for every op of
+// the plan, one after another in plan order, where i is the index of
+// the op's unit in Units. It counts every op in gen_emit_ops_total and
+// sends one "emitted" status line after each unit.
 //
-// Failure semantics: a panicking operation is isolated into an OpError
-// and the remaining operations still run, so the returned error (built
-// with errors.Join) names every failing library, not just the first. A
-// cancelled Options.Context stops the run before its next operation and
-// returns the wrapped context error.
-func (p *Plan) Execute() (*Result, error) {
-	outs, err := executeGrid(p, func(u *Unit, op Op) (opOut, error) {
-		return p.runOp(u, op), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return p.merge(outs)
-}
-
-// executeGrid runs every operation of the plan through run under
-// safeOp, one after another in plan order, and returns the per-unit
-// result grid. It is the shared engine under Execute (native XSD) and
-// ExecuteBackend.
-func executeGrid[T any](p *Plan, run func(*Unit, Op) (T, error)) ([][]T, error) {
+// Failure semantics: a panicking fn is isolated into an OpError and the
+// remaining ops still run, so the returned error (built with
+// errors.Join) names every failing op, not just the first. A cancelled
+// Options.Context stops the loop before its next op, or after its last,
+// and returns the wrapped context error.
+func (p *Plan) EachOp(fn func(i int, u *Unit, op Op)) error {
 	ctx := p.opts.ctx()
-	opsDone := p.opsCounter()
-	outs := make([][]T, len(p.units))
+	// Without Options.Metrics a detached counter counts into the void.
+	opsDone := &metrics.Counter{}
+	if p.opts.Metrics != nil {
+		opsDone = p.opts.Metrics.Counter("gen_emit_ops_total", "Emission operations executed.")
+	}
 	var errs []error
 	for i, u := range p.units {
-		outs[i] = make([]T, len(u.ops))
-		for j := range u.ops {
+		for _, op := range u.ops {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("gen: emit cancelled: %w", err)
+				return fmt.Errorf("gen: emit cancelled: %w", err)
 			}
-			var err error
-			if outs[i][j], err = safeOp(u, j, run); err != nil {
-				errs = append(errs, err)
-			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						errs = append(errs, &OpError{
+							Library:   u.lib.Name,
+							Kind:      u.lib.Kind.String(),
+							Op:        opLabel(op),
+							Recovered: r,
+							Stack:     debug.Stack(),
+						})
+					}
+				}()
+				if testEmitFault != nil {
+					testEmitFault(u.lib, opLabel(op))
+				}
+				fn(i, u, op)
+			}()
 			opsDone.Inc()
 		}
 		p.opts.status("emitted %d definition(s) for %s %s", len(u.ops), u.lib.Kind, u.lib.Name)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("gen: emit cancelled: %w", err)
+		return fmt.Errorf("gen: emit cancelled: %w", err)
 	}
-	if err := errors.Join(errs...); err != nil {
+	return errors.Join(errs...)
+}
+
+// execute runs the native XSD emit phase: EachOp appends every op's
+// type node to its unit's schema, then each schema gets its namespace
+// declarations, imports and global elements. The plan fixed all
+// ordering, prefixes and imports up front, so the output is a function
+// of the plan alone. Failures are EachOp's.
+func (p *Plan) execute() (*Result, error) {
+	schemas := make([]*xsd.Schema, len(p.units))
+	for i, u := range p.units {
+		schemas[i] = xsd.NewSchema(p.Namespace(u.lib))
+	}
+	err := p.EachOp(func(i int, u *Unit, op Op) {
+		s := schemas[i]
+		switch {
+		case op.abie != nil:
+			s.ComplexTypes = append(s.ComplexTypes, p.emitABIE(u, op.abie))
+		case op.cdt != nil:
+			s.ComplexTypes = append(s.ComplexTypes, p.emitCDT(op.cdt))
+		case op.qdt != nil:
+			s.ComplexTypes = append(s.ComplexTypes, p.emitQDT(op.qdt))
+		default:
+			s.SimpleTypes = append(s.SimpleTypes, p.emitENUM(op.enum))
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	return outs, nil
-}
-
-// opsCounter returns the gen_emit_ops_total counter. When
-// Options.Metrics is nil it is a detached counter that counts into the
-// void, so the loop needs no nil check.
-func (p *Plan) opsCounter() *metrics.Counter {
-	if p.opts.Metrics == nil {
-		return &metrics.Counter{}
-	}
-	return p.opts.Metrics.Counter("gen_emit_ops_total", "Emission operations executed.")
-}
-
-// merge assembles the schema documents from the executed operations in
-// plan order; this is the only phase that touches the schemas.
-func (p *Plan) merge(outs [][]opOut) (*Result, error) {
 	res := &Result{Schemas: map[string]*xsd.Schema{}, Index: p.index}
 	for i, u := range p.units {
-		s := xsd.NewSchema(p.Namespace(u.lib))
+		s := schemas[i]
 		s.Version = u.lib.Version
 		for _, d := range u.decls {
 			if err := s.DeclareNamespace(d.Prefix, d.URI); err != nil {
@@ -156,14 +137,6 @@ func (p *Plan) merge(outs [][]opOut) (*Result, error) {
 			}
 		}
 		s.Imports = append(s.Imports, u.imports...)
-		for _, out := range outs[i] {
-			switch {
-			case out.ct != nil:
-				s.ComplexTypes = append(s.ComplexTypes, out.ct)
-			case out.st != nil:
-				s.SimpleTypes = append(s.SimpleTypes, out.st)
-			}
-		}
 		for _, asbie := range u.globals {
 			global := &xsd.Element{
 				Name: p.index.ASBIEElementName(asbie),
@@ -189,21 +162,6 @@ func (p *Plan) merge(outs [][]opOut) (*Result, error) {
 		res.RootElement = rootName
 	}
 	return res, nil
-}
-
-// runOp executes one emission operation. Operations are infallible:
-// every error was caught while planning.
-func (p *Plan) runOp(u *Unit, op Op) opOut {
-	switch {
-	case op.abie != nil:
-		return opOut{ct: p.emitABIE(u, op.abie)}
-	case op.cdt != nil:
-		return opOut{ct: p.emitCDT(op.cdt)}
-	case op.qdt != nil:
-		return opOut{ct: p.emitQDT(op.qdt)}
-	default:
-		return opOut{st: p.emitENUM(op.enum)}
-	}
 }
 
 // emitABIE writes the complexType for an ABIE: the BBIE elements first,

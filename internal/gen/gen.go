@@ -5,8 +5,10 @@
 // library, usually a DOCLibrary root element — and records a
 // deterministic Plan: topologically ordered library units with their
 // cross-imports, emission operations and global-element decisions. Emit
-// runs the operations one after another in plan order and merges the
-// results into documents. See DESIGN.md for the architecture.
+// renders the plan: the native XSD path and every backend that renders
+// op by op walk it with Plan.EachOp, the one op loop, which runs the
+// operations one after another in plan order. See DESIGN.md for the
+// architecture.
 package gen
 
 import (
@@ -138,7 +140,7 @@ func GenerateDocument(lib *core.Library, rootABIE string, opts Options) (*Result
 	if err != nil {
 		return nil, err
 	}
-	res, err := plan.Execute()
+	res, err := plan.execute()
 	if err != nil {
 		return nil, err
 	}

@@ -34,16 +34,6 @@ type Plan struct {
 // against.
 func (p *Plan) Index() *core.ModelIndex { return p.index }
 
-// Libraries returns the planned libraries in emission (topological
-// first-use) order; the requested library is first.
-func (p *Plan) Libraries() []*core.Library {
-	libs := make([]*core.Library, len(p.units))
-	for i, u := range p.units {
-		libs[i] = u.lib
-	}
-	return libs
-}
-
 // Unit is the emission work for one library: one schema document.
 type Unit struct {
 	lib  *core.Library

@@ -5,10 +5,10 @@ import (
 	"fmt"
 )
 
-// XSDBackend is the paper's native target expressed as a Backend: each
-// per-op fragment is the opOut node the classic emit phase produces,
-// and Assemble reuses merge plus the deterministic writer, so the
-// serialized bytes are exactly those of Execute + Schema.Write.
+// XSDBackend is the paper's native target expressed as a Backend:
+// Generate runs the classic emit phase and serializes each schema with
+// the deterministic writer, so the bytes are exactly those of
+// GenerateDocument + Schema.Write.
 type XSDBackend struct{}
 
 // Target implements Backend.
@@ -17,21 +17,9 @@ func (XSDBackend) Target() string { return "xsd" }
 // ContentType implements Backend.
 func (XSDBackend) ContentType() string { return "application/xml" }
 
-// EmitOp implements Backend.
-func (XSDBackend) EmitOp(p *Plan, u *Unit, op Op) (Fragment, error) {
-	return p.runOp(u, op), nil
-}
-
-// Assemble implements Backend.
-func (XSDBackend) Assemble(p *Plan, frags [][]Fragment) (*Output, error) {
-	outs := make([][]opOut, len(frags))
-	for i, unit := range frags {
-		outs[i] = make([]opOut, len(unit))
-		for j, f := range unit {
-			outs[i][j] = f.(opOut)
-		}
-	}
-	res, err := p.merge(outs)
+// Generate implements Backend.
+func (XSDBackend) Generate(p *Plan) (*Output, error) {
+	res, err := p.execute()
 	if err != nil {
 		return nil, err
 	}

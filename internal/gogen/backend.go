@@ -8,9 +8,8 @@ import (
 
 // Backend adapts the Go binding generator to the gen.Backend
 // interface. Go type names come from a stateful collision-avoiding
-// allocator whose output depends on emission order, so EmitOp returns
-// placeholder fragments and Assemble performs the whole walk in one
-// pass.
+// allocator whose output depends on emission order, so Generate
+// performs the whole walk in one pass instead of op by op.
 type Backend struct{}
 
 // Target implements gen.Backend.
@@ -19,12 +18,9 @@ func (Backend) Target() string { return "go" }
 // ContentType implements gen.Backend; generated Go source is text.
 func (Backend) ContentType() string { return "text/plain; charset=utf-8" }
 
-// EmitOp implements gen.Backend.
-func (Backend) EmitOp(*gen.Plan, *gen.Unit, gen.Op) (gen.Fragment, error) { return nil, nil }
-
-// Assemble implements gen.Backend: one self-contained Go file for the
+// Generate implements gen.Backend: one self-contained Go file for the
 // document rooted at the plan's root ABIE.
-func (Backend) Assemble(p *gen.Plan, _ [][]gen.Fragment) (*gen.Output, error) {
+func (Backend) Generate(p *gen.Plan) (*gen.Output, error) {
 	code, err := generate(p)
 	if err != nil {
 		return nil, err

@@ -47,15 +47,8 @@ type Node struct {
 	Defs                 map[string]*Node `json:"$defs,omitempty"`
 }
 
-// def is the per-op fragment: one named entry of a unit's $defs.
-type def struct {
-	name string
-	node *Node
-}
-
-// Backend implements gen.Backend for JSON Schema. EmitOp derives each
-// operation's $defs entry from the immutable plan alone, and Assemble
-// merges the fragments in plan order.
+// Backend implements gen.Backend for JSON Schema: each op's $defs
+// entry is derived from the immutable plan alone, in plan order.
 type Backend struct{}
 
 // Target implements gen.Backend.
@@ -69,47 +62,50 @@ func FileName(u *gen.Unit) string {
 	return strings.TrimSuffix(u.File(), ".xsd") + ".json"
 }
 
-// EmitOp implements gen.Backend.
-func (Backend) EmitOp(p *gen.Plan, u *gen.Unit, op gen.Op) (gen.Fragment, error) {
+// Generate implements gen.Backend: one document per unit, its $defs
+// filled op by op through EachOp, the document plan's root ABIE promoted
+// to the primary document's top-level $ref.
+func (Backend) Generate(p *gen.Plan) (*gen.Output, error) {
 	ix := p.Index()
-	switch {
-	case op.ABIE() != nil:
-		return emitABIE(p, u, op.ABIE()), nil
-	case op.CDT() != nil:
-		cdt := op.CDT()
-		base := scalarOf(p, cdt.Name, ndr.ContentBuiltin(cdt))
-		return def{name: ix.DataTypeName(cdt), node: valueObject(p, base, cdt.Definition, cdt.Sups)}, nil
-	case op.QDT() != nil:
-		return emitQDT(p, u, op.QDT()), nil
-	default:
-		e := op.ENUM()
-		n := &Node{Type: "string", Enum: e.LiteralNames()}
-		if p.Annotate() {
-			n.Description = e.Definition
-		}
-		return def{name: ix.ENUMTypeName(e), node: n}, nil
-	}
-}
-
-// Assemble implements gen.Backend: one document per unit, $defs filled
-// from the fragments, the document plan's root ABIE promoted to the
-// primary document's top-level $ref.
-func (Backend) Assemble(p *gen.Plan, frags [][]gen.Fragment) (*gen.Output, error) {
-	out := &gen.Output{}
-	for i, u := range p.Units() {
-		doc := &Node{
+	units := p.Units()
+	docs := make([]*Node, len(units))
+	for i, u := range units {
+		docs[i] = &Node{
 			Schema: Draft,
 			ID:     p.Namespace(u.Library()),
 			Defs:   map[string]*Node{},
 		}
-		for _, f := range frags[i] {
-			d := f.(def)
-			doc.Defs[d.name] = d.node
+	}
+	err := p.EachOp(func(i int, u *gen.Unit, op gen.Op) {
+		defs := docs[i].Defs
+		switch {
+		case op.ABIE() != nil:
+			defs[ix.ABIETypeName(op.ABIE())] = emitABIE(p, u, op.ABIE())
+		case op.CDT() != nil:
+			cdt := op.CDT()
+			base := scalarOf(p, cdt.Name, ndr.ContentBuiltin(cdt))
+			defs[ix.DataTypeName(cdt)] = valueObject(p, base, cdt.Definition, cdt.Sups)
+		case op.QDT() != nil:
+			defs[ix.DataTypeName(op.QDT())] = emitQDT(p, u, op.QDT())
+		default:
+			e := op.ENUM()
+			n := &Node{Type: "string", Enum: e.LiteralNames()}
+			if p.Annotate() {
+				n.Description = e.Definition
+			}
+			defs[ix.ENUMTypeName(e)] = n
 		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := &gen.Output{}
+	for i, u := range units {
+		doc := docs[i]
 		if i == 0 && p.Root() != nil {
 			root := p.Root()
-			doc.Title = p.Index().ABIEElementName(root)
-			doc.Ref = "#/$defs/" + p.Index().ABIETypeName(root)
+			doc.Title = ix.ABIEElementName(root)
+			doc.Ref = "#/$defs/" + ix.ABIETypeName(root)
 			out.RootElement = doc.Title
 		}
 		data := appendNode(make([]byte, 0, docBytes(u)), doc)
@@ -171,7 +167,7 @@ func refTo(p *gen.Plan, from *gen.Unit, lib *core.Library, typeName string) stri
 // emitABIE maps an ABIE to an object schema: BBIEs and ASBIEs become
 // properties named like the XML elements, cardinality maps to
 // required/array.
-func emitABIE(p *gen.Plan, u *gen.Unit, abie *core.ABIE) def {
+func emitABIE(p *gen.Plan, u *gen.Unit, abie *core.ABIE) *Node {
 	ix := p.Index()
 	f := false
 	n := &Node{Type: "object", Properties: map[string]*Node{}, AdditionalProperties: &f}
@@ -196,13 +192,13 @@ func emitABIE(p *gen.Plan, u *gen.Unit, abie *core.ABIE) def {
 			n.Required = append(n.Required, name)
 		}
 	}
-	return def{name: ix.ABIETypeName(abie), node: n}
+	return n
 }
 
 // emitQDT maps a qualified data type: enum-restricted content refers to
 // the enumeration schema, primitive content inherits the CDT's
 // representation-term refinement.
-func emitQDT(p *gen.Plan, u *gen.Unit, qdt *core.QDT) def {
+func emitQDT(p *gen.Plan, u *gen.Unit, qdt *core.QDT) *Node {
 	ix := p.Index()
 	var content *Node
 	switch t := qdt.Content.Type.(type) {
@@ -218,13 +214,12 @@ func emitQDT(p *gen.Plan, u *gen.Unit, qdt *core.QDT) def {
 	if override, ok := p.Datatype(qdt.Name); ok {
 		content = scalarNode(override)
 	}
-	n := supObject(p, content, qdt.Definition, qdt.Sups, func(sup *core.SupplementaryComponent) *Node {
+	return supObject(p, content, qdt.Definition, qdt.Sups, func(sup *core.SupplementaryComponent) *Node {
 		if en, ok := sup.Type.(*core.ENUM); ok {
 			return &Node{Ref: refTo(p, u, en.Library(), ix.ENUMTypeName(en))}
 		}
 		return nil
 	})
-	return def{name: ix.DataTypeName(qdt), node: n}
 }
 
 // valueObject maps a CDT: the content component becomes the "value"

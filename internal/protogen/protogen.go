@@ -27,9 +27,9 @@ import (
 // have no registered type, so they ship as plain text.
 const ContentType = "text/plain; charset=utf-8"
 
-// Backend implements gen.Backend for proto3. EmitOp derives each
-// operation's message/enum block from the immutable plan, and Assemble
-// concatenates the blocks in plan order under a per-unit header.
+// Backend implements gen.Backend for proto3: each op's message or enum
+// block is derived from the immutable plan, and each unit's blocks are
+// concatenated in plan order under a per-unit header.
 type Backend struct{}
 
 // Target implements gen.Backend.
@@ -73,28 +73,35 @@ func PackageName(ns string) string {
 	return strings.Join(out, ".")
 }
 
-// EmitOp implements gen.Backend.
-func (Backend) EmitOp(p *gen.Plan, u *gen.Unit, op gen.Op) (gen.Fragment, error) {
-	w := &writer{p: p, u: u}
-	switch {
-	case op.ABIE() != nil:
-		w.abie(op.ABIE())
-	case op.CDT() != nil:
-		cdt := op.CDT()
-		base := scalarOf(p, cdt.Name, ndr.ContentBuiltin(cdt))
-		w.valueMessage(p.Index().DataTypeName(cdt), cdt.Definition, nil, base, cdt.Sups)
-	case op.QDT() != nil:
-		w.qdt(op.QDT())
-	default:
-		w.enum(op.ENUM())
+// Generate implements gen.Backend: EachOp renders every op's block,
+// then each unit's file is written into a buffer of its exact size.
+func (Backend) Generate(p *gen.Plan) (*gen.Output, error) {
+	units := p.Units()
+	blocks := make([][]string, len(units))
+	for i, u := range units {
+		blocks[i] = make([]string, 0, len(u.Ops()))
 	}
-	return w.b.String(), nil
-}
-
-// Assemble implements gen.Backend.
-func (Backend) Assemble(p *gen.Plan, frags [][]gen.Fragment) (*gen.Output, error) {
+	err := p.EachOp(func(i int, u *gen.Unit, op gen.Op) {
+		w := &writer{p: p, u: u}
+		switch {
+		case op.ABIE() != nil:
+			w.abie(op.ABIE())
+		case op.CDT() != nil:
+			cdt := op.CDT()
+			base := scalarOf(p, cdt.Name, ndr.ContentBuiltin(cdt))
+			w.valueMessage(p.Index().DataTypeName(cdt), cdt.Definition, nil, base, cdt.Sups)
+		case op.QDT() != nil:
+			w.qdt(op.QDT())
+		default:
+			w.enum(op.ENUM())
+		}
+		blocks[i] = append(blocks[i], w.b.String())
+	})
+	if err != nil {
+		return nil, err
+	}
 	out := &gen.Output{}
-	for i, u := range p.Units() {
+	for i, u := range units {
 		lib := u.Library()
 		ns := p.Namespace(lib)
 		pkg := PackageName(ns)
@@ -107,8 +114,8 @@ func (Backend) Assemble(p *gen.Plan, frags [][]gen.Fragment) (*gen.Output, error
 		if len(imports) > 0 {
 			size++
 		}
-		for _, f := range frags[i] {
-			size += 1 + len(f.(string))
+		for _, block := range blocks[i] {
+			size += 1 + len(block)
 		}
 		b := make([]byte, 0, size)
 		b = append(b, "syntax = \"proto3\";\n\n// Generated from "...)
@@ -128,9 +135,9 @@ func (Backend) Assemble(p *gen.Plan, frags [][]gen.Fragment) (*gen.Output, error
 		if len(imports) > 0 {
 			b = append(b, '\n')
 		}
-		for _, f := range frags[i] {
+		for _, block := range blocks[i] {
 			b = append(b, '\n')
-			b = append(b, f.(string)...)
+			b = append(b, block...)
 		}
 		if i == 0 && p.Root() != nil {
 			out.RootElement = p.Index().ABIETypeName(p.Root())
@@ -162,7 +169,7 @@ func importPath(p *gen.Plan, lib *core.Library) string {
 	return ""
 }
 
-// writer renders one op's fragment. It derives the package name of each
+// writer renders one op's block. It derives the package name of each
 // foreign library the op references once, not once per field.
 type writer struct {
 	p    *gen.Plan

@@ -9,8 +9,8 @@ import (
 
 // Backend adapts the RDF Schema generator to the gen.Backend
 // interface. The vocabulary is a whole-model document (RDF has no
-// per-library modularity here), so EmitOp returns placeholder
-// fragments and Assemble renders the model in its declaration order.
+// per-library modularity here), so Generate renders the model in its
+// declaration order instead of op by op.
 type Backend struct{}
 
 // Target implements gen.Backend.
@@ -19,12 +19,9 @@ func (Backend) Target() string { return "rdfs" }
 // ContentType implements gen.Backend.
 func (Backend) ContentType() string { return "application/rdf+xml" }
 
-// EmitOp implements gen.Backend.
-func (Backend) EmitOp(*gen.Plan, *gen.Unit, gen.Op) (gen.Fragment, error) { return nil, nil }
-
-// Assemble implements gen.Backend: one vocabulary document named after
+// Generate implements gen.Backend: one vocabulary document named after
 // the requested library.
-func (Backend) Assemble(p *gen.Plan, _ [][]gen.Fragment) (*gen.Output, error) {
+func (Backend) Generate(p *gen.Plan) (*gen.Output, error) {
 	u := p.Units()[0]
 	m := u.Library().Model()
 	if m == nil {

@@ -9,8 +9,8 @@ import (
 
 // Backend adapts the RELAX NG generator to the gen.Backend interface.
 // The grammar's define names come from a stateful prefix allocator
-// whose numbering depends on walk order, so EmitOp returns placeholder
-// fragments and Assemble performs the whole walk in one pass.
+// whose numbering depends on walk order, so Generate performs the whole
+// walk in one pass instead of op by op.
 type Backend struct{}
 
 // Target implements gen.Backend.
@@ -19,12 +19,9 @@ func (Backend) Target() string { return "rng" }
 // ContentType implements gen.Backend; RELAX NG XML syntax is XML.
 func (Backend) ContentType() string { return "application/xml" }
 
-// EmitOp implements gen.Backend.
-func (Backend) EmitOp(*gen.Plan, *gen.Unit, gen.Op) (gen.Fragment, error) { return nil, nil }
-
-// Assemble implements gen.Backend: one self-contained grammar file
+// Generate implements gen.Backend: one self-contained grammar file
 // named after the requested library.
-func (Backend) Assemble(p *gen.Plan, _ [][]gen.Fragment) (*gen.Output, error) {
+func (Backend) Generate(p *gen.Plan) (*gen.Output, error) {
 	g, err := generate(p)
 	if err != nil {
 		return nil, err

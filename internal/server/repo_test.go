@@ -9,6 +9,7 @@ import (
 
 	ccts "github.com/go-ccts/ccts"
 	"github.com/go-ccts/ccts/internal/fixture"
+	"github.com/go-ccts/ccts/internal/profile"
 	"github.com/go-ccts/ccts/internal/repo"
 )
 
@@ -49,6 +50,66 @@ func additiveXMI(tb testing.TB) []byte {
 	return mutatedXMI(tb, func(f *fixture.HoardingPermit) {
 		f.Model.FindENUM("CountryType_Code").AddLiteral("NZL", "New Zealand")
 	})
+}
+
+// strayEnumXMI renders the fixture with an enumeration in its
+// CCLibrary. Extraction drops the enumeration without an error, so only
+// the profile's constraints on the imported model report it (CCL-3).
+func strayEnumXMI(tb testing.TB) []byte {
+	tb.Helper()
+	f, err := fixture.BuildHoardingPermit()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	um := ccts.ToUML(f.Model)
+	um.FindPackage(f.CCLib.Name).AddEnumeration("Stray", profile.StENUM)
+	var buf bytes.Buffer
+	if err := ccts.ExportUMLXMI(um, &buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestModelCheckRunsOnImportedModel: generate, publish and validate all
+// check the profile's constraints on the model the client sent, so the
+// dropped enumeration is refused everywhere with CCL-3.
+func TestModelCheckRunsOnImportedModel(t *testing.T) {
+	h := newRepoServer(t, repo.Config{}).Handler()
+	body := strayEnumXMI(t)
+	var out struct {
+		Valid    bool          `json:"valid"`
+		Findings []jsonFinding `json:"findings"`
+	}
+	namesCCL3 := func(what string, rec *httptest.ResponseRecorder) {
+		t.Helper()
+		out.Findings = nil
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("%s: %v: %s", what, err, rec.Body.String())
+		}
+		for _, f := range out.Findings {
+			if f.Rule == "CCL-3" {
+				return
+			}
+		}
+		t.Errorf("%s: findings %v lack CCL-3", what, out.Findings)
+	}
+	for what, rec := range map[string]*httptest.ResponseRecorder{
+		"generate": postGenerate(t, h, body, docQuery),
+		"publish":  repoRequest(t, h, http.MethodPost, publishPath(""), body),
+	} {
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Errorf("%s = %d, want 422; body %s", what, rec.Code, rec.Body.String())
+		}
+		namesCCL3(what, rec)
+	}
+	rec := repoRequest(t, h, http.MethodPost, "/v1/validate", body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("validate = %d: %s", rec.Code, rec.Body.String())
+	}
+	namesCCL3("validate", rec)
+	if out.Valid {
+		t.Error("validate answered valid: true")
+	}
 }
 
 const repoSubject = "hoarding-permit"

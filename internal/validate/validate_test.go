@@ -1,6 +1,10 @@
 package validate
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +13,7 @@ import (
 	"github.com/go-ccts/ccts/internal/fixture"
 	"github.com/go-ccts/ccts/internal/profile"
 	"github.com/go-ccts/ccts/internal/uml"
+	"github.com/go-ccts/ccts/internal/xmi"
 )
 
 func hasRule(r *Report, rule string) bool {
@@ -324,5 +329,57 @@ func TestReportAccessors(t *testing.T) {
 	r.add("B", Error, "y", "e")
 	if !r.HasErrors() || len(r.Errors()) != 1 {
 		t.Error("error accounting wrong")
+	}
+}
+
+// TestImportedModelMatchesRenderedModel is the differential test of the
+// model check that ccgen and ccserved run: the semantic rules on the
+// typed model, then the profile's constraints on the imported UML model
+// instead of on the typed model rendered back to UML. On every fixture
+// export and on EasyBiz.xmi that extract, both give the same findings
+// in the same order, so a model's diagnostics stay byte-identical.
+func TestImportedModelMatchesRenderedModel(t *testing.T) {
+	type input struct {
+		name string
+		data []byte
+	}
+	var inputs []input
+	for _, n := range fixture.Corpus() {
+		var buf bytes.Buffer
+		if err := xmi.Export(profile.Render(n.Model), &buf); err != nil {
+			t.Logf("%s: no export: %v", n.Name, err)
+			continue
+		}
+		inputs = append(inputs, input{n.Name, buf.Bytes()})
+	}
+	easyBiz, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "EasyBiz.xmi"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs, input{"EasyBiz", easyBiz})
+
+	var extracted []string
+	for _, in := range inputs {
+		um, _, err := xmi.ImportBytes(in.data, xmi.ImportOptions{})
+		var m *core.Model
+		if err == nil {
+			m, err = profile.Extract(um)
+		}
+		if err != nil {
+			t.Logf("%s: no typed model: %v", in.name, err)
+			continue
+		}
+		extracted = append(extracted, in.name)
+		ix := core.NewModelIndex(m)
+		got := ModelIndexed(m, ix)
+		got.Findings = append(got.Findings, UML(um).Findings...)
+		if want := AllIndexed(m, ix); !slices.Equal(got.Findings, want.Findings) {
+			t.Errorf("%s: imported-model findings\n%v\nwant the rendered model's\n%v", in.name, got.Findings, want.Findings)
+		}
+	}
+	for _, name := range []string{"HoardingPermit", "PurchaseOrder", "syn10", "syn100", "syn300", "EasyBiz"} {
+		if !slices.Contains(extracted, name) {
+			t.Errorf("%s did not extract; extracted %v", name, extracted)
+		}
 	}
 }

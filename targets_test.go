@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -199,6 +200,56 @@ func TestTargetXSDMatchesClassicPath(t *testing.T) {
 	}
 	if out.RootElement != res.RootElement {
 		t.Errorf("RootElement = %q, want %q", out.RootElement, res.RootElement)
+	}
+}
+
+// TestTargetStatusSequence pins the status lines of two targeted runs.
+// A backend that walks the plan with EachOp sends the same "emitted"
+// lines as the xsd run; one that renders the plan in one pass sends
+// none, so nothing reports work before it is done.
+func TestTargetStatusSequence(t *testing.T) {
+	f, err := fixture.BuildHoardingPermit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name         string
+		lib          *ccts.Library
+		root, target string
+		want         []string
+	}{
+		{"jsonschema library", f.Common, "", "jsonschema", []string{
+			"generating schema for BIELibrary CommonAggregates",
+			"processing BIELibrary CommonAggregates",
+			"processing CDTLibrary coredatatypes",
+			"processing QDTLibrary BuildingAndPlanningDataTypes",
+			"processing ENUMLibrary EnumerationTypes",
+			"emitted 5 definition(s) for BIELibrary CommonAggregates",
+			"emitted 13 definition(s) for CDTLibrary coredatatypes",
+			"emitted 4 definition(s) for QDTLibrary BuildingAndPlanningDataTypes",
+			"emitted 2 definition(s) for ENUMLibrary EnumerationTypes",
+			"generated 4 jsonschema file(s)",
+		}},
+		{"rng document", f.DOCLib, "HoardingPermit", "rng", []string{
+			"generating document schema for EB005-HoardingPermit (root HoardingPermit)",
+			"processing CDTLibrary coredatatypes",
+			"processing QDTLibrary BuildingAndPlanningDataTypes",
+			"processing ENUMLibrary EnumerationTypes",
+			"processing BIELibrary CommonAggregates",
+			"processing BIELibrary LocalLawAggregates",
+			"generated 1 rng file(s)",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var lines []string
+			opts := ccts.GenerateOptions{Status: func(msg string) { lines = append(lines, msg) }}
+			if _, err := ccts.GenerateTargetDocument(tc.lib, tc.root, tc.target, opts); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(lines, tc.want) {
+				t.Errorf("status lines:\n%q\nwant:\n%q", lines, tc.want)
+			}
+		})
 	}
 }
 
