@@ -30,6 +30,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/go-ccts/ccts/internal/api"
 	"github.com/go-ccts/ccts/internal/client"
 	"github.com/go-ccts/ccts/internal/jobs"
 	"github.com/go-ccts/ccts/internal/retry"
@@ -145,7 +146,7 @@ func cmdSubmit(o *options, args []string, out io.Writer) error {
 	defer cancel()
 	c := o.client()
 
-	var job *client.Job
+	var job *api.Job
 	if isZip(body) {
 		job, err = c.SubmitJobZip(ctx, body)
 	} else {
@@ -207,7 +208,7 @@ func cmdStatus(o *options, args []string, out io.Writer) error {
 	return nil
 }
 
-func printJob(out io.Writer, j *client.Job) {
+func printJob(out io.Writer, j *api.Job) {
 	fmt.Fprintf(out, "%s: %s (%d/%d done, %d failed)\n", j.ID, j.State, j.Done, j.Total, j.Failed)
 	for i, it := range j.Items {
 		line := fmt.Sprintf("  %3d %-9s %s", i+1, it.Status, it.Name)

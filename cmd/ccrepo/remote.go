@@ -33,6 +33,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/go-ccts/ccts/internal/api"
 	"github.com/go-ccts/ccts/internal/client"
 	"github.com/go-ccts/ccts/internal/repo"
 	"github.com/go-ccts/ccts/internal/retry"
@@ -207,7 +208,7 @@ func remoteCheck(ctx context.Context, fan readFanout, args []string, out io.Writ
 	if err != nil {
 		return err
 	}
-	res, err := fanDo(ctx, fan, func(ctx context.Context, c *client.Client) (*client.CheckResult, error) {
+	res, err := fanDo(ctx, fan, func(ctx context.Context, c *client.Client) (*api.Compat, error) {
 		return c.Check(ctx, p.subject, input)
 	})
 	if err != nil {
@@ -231,18 +232,18 @@ func remoteList(ctx context.Context, fan readFanout, args []string, out io.Write
 		// node answers with the merged view (plus which owners were
 		// unreachable). A pre-aggregate server 404s; fall back to the
 		// node-local listing.
-		agg, err := fanDo(ctx, fan, func(ctx context.Context, c *client.Client) (*client.AggregateSubjects, error) {
+		agg, err := fanDo(ctx, fan, func(ctx context.Context, c *client.Client) (*api.Aggregate, error) {
 			return c.ListAll(ctx)
 		})
 		var ae *client.APIError
 		if errors.As(err, &ae) && ae.Status == http.StatusNotFound {
-			var subs []client.Subject
-			subs, err = fanDo(ctx, fan, func(ctx context.Context, c *client.Client) ([]client.Subject, error) {
+			var subs []repo.SubjectInfo
+			subs, err = fanDo(ctx, fan, func(ctx context.Context, c *client.Client) ([]repo.SubjectInfo, error) {
 				return c.Subjects(ctx)
 			})
-			agg = &client.AggregateSubjects{}
+			agg = &api.Aggregate{}
 			for _, s := range subs {
-				agg.Subjects = append(agg.Subjects, client.AggregateSubject{Name: s.Name, Policy: s.Policy, Versions: s.Versions, Latest: s.Latest})
+				agg.Subjects = append(agg.Subjects, api.AggregateSubject{SubjectInfo: s})
 			}
 		}
 		if err != nil {
@@ -265,7 +266,7 @@ func remoteList(ctx context.Context, fan readFanout, args []string, out io.Write
 		fmt.Fprintf(out, "%d subject(s)\n", len(agg.Subjects))
 		return nil
 	}
-	vl, err := fanDo(ctx, fan, func(ctx context.Context, c *client.Client) (*client.VersionList, error) {
+	vl, err := fanDo(ctx, fan, func(ctx context.Context, c *client.Client) (*api.VersionList, error) {
 		return c.Versions(ctx, args[0])
 	})
 	if err != nil {
@@ -358,8 +359,5 @@ func remoteGet(ctx context.Context, fan readFanout, args []string, out io.Writer
 	}
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Subject string `json:"subject"`
-		Version any    `json:"version"`
-	}{Subject: *subject, Version: v})
+	return enc.Encode(api.Version{Subject: *subject, Version: *v})
 }

@@ -13,7 +13,8 @@
 //
 // The caller's context deadline is propagated to the server via the
 // X-Request-Timeout header, so the server sheds work the client would
-// no longer wait for.
+// no longer wait for. Answers decode into the server's own
+// declarations in internal/api.
 package client
 
 import (
@@ -30,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/go-ccts/ccts/internal/api"
 	"github.com/go-ccts/ccts/internal/metrics"
 	"github.com/go-ccts/ccts/internal/repo"
 	"github.com/go-ccts/ccts/internal/retry"
@@ -106,23 +108,9 @@ func IsConnectError(err error) bool {
 	return errors.As(err, &ce)
 }
 
-// Change is the wire form of one schema diff entry in a 409 answer.
-type Change struct {
-	Kind            string   `json:"kind"`
-	Element         string   `json:"element"`
-	Details         []string `json:"details,omitempty"`
-	Breaking        bool     `json:"breaking"`
-	BreakingDetails []string `json:"breakingDetails,omitempty"`
-}
-
 // IncompatibleError is the parsed 409 answer to a publish: the policy
 // rejected the revision, with the machine-readable change list.
-type IncompatibleError struct {
-	Subject string   `json:"subject"`
-	Against int      `json:"against"`
-	Policy  string   `json:"policy"`
-	Changes []Change `json:"changes"`
-}
+type IncompatibleError api.Conflict
 
 func (e *IncompatibleError) Error() string {
 	return fmt.Sprintf("%s: %d breaking change(s) against version %d under policy %q",
@@ -460,40 +448,7 @@ func (c *Client) doAt(ctx context.Context, base, method, path string, query url.
 			out = data
 			return nil
 		}
-		ae := &APIError{Status: resp.StatusCode, Body: data}
-		var envelope struct {
-			Error    string `json:"error"`
-			Code     string `json:"code"`
-			Primary  string `json:"primary"`
-			Owner    string `json:"owner"`
-			Epoch    int64  `json:"epoch"`
-			Findings []struct {
-				Rule, Severity, Element, Message string
-				Line, Col                        int
-			} `json:"findings"`
-		}
-		if json.Unmarshal(data, &envelope) == nil {
-			ae.Code = envelope.Code
-			ae.Message = envelope.Error
-			ae.Primary = envelope.Primary
-			ae.Owner = envelope.Owner
-			ae.Epoch = envelope.Epoch
-			for _, f := range envelope.Findings {
-				sev := validate.Error
-				if f.Severity == validate.Warning.String() {
-					sev = validate.Warning
-				}
-				ae.findings = append(ae.findings, validate.Finding{Rule: f.Rule, Severity: sev, Element: f.Element, Message: f.Message, Line: f.Line, Col: f.Col})
-			}
-		}
-		if ae.Primary == "" {
-			ae.Primary = resp.Header.Get("Location")
-		}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
-				ae.retryAfter = time.Duration(secs) * time.Second
-			}
-		}
+		ae := decodeError(resp, data)
 		if !ae.retryable() {
 			return retry.Permanent(ae)
 		}
@@ -521,6 +476,57 @@ func (c *Client) doAt(ctx context.Context, base, method, path string, query url.
 	return out, nil
 }
 
+// decodeError reads a non-2xx answer: the error envelope when the body
+// is one, the Location header as the primary hint when the envelope
+// names none, and the Retry-After delay.
+func decodeError(resp *http.Response, data []byte) *APIError {
+	ae := &APIError{Status: resp.StatusCode, Body: data}
+	var env api.Error
+	if json.Unmarshal(data, &env) == nil {
+		ae.Code, ae.Message, ae.findings = env.Code, env.Message, env.Findings
+		ae.Primary, ae.Owner, ae.Epoch = env.Primary, env.Owner, env.Epoch
+	}
+	if ae.Primary == "" {
+		ae.Primary = resp.Header.Get("Location")
+	}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+		ae.retryAfter = time.Duration(secs) * time.Second
+	}
+	return ae
+}
+
+// decode unmarshals the body of a successful exchange into a T.
+func decode[T any](data []byte, err error) (T, error) {
+	var v T
+	if err != nil {
+		return v, err
+	}
+	if err := json.Unmarshal(data, &v); err != nil {
+		var zero T
+		return zero, fmt.Errorf("decoding %T answer: %w", v, err)
+	}
+	return v, nil
+}
+
+// generateQuery carries the generation options that a publish and a
+// job submission share; empty ones keep the server's defaults.
+func generateQuery(library, root, style, target string, annotate bool) url.Values {
+	q := url.Values{}
+	set := func(k, v string) {
+		if v != "" {
+			q.Set(k, v)
+		}
+	}
+	q.Set("library", library)
+	set("root", root)
+	set("style", style)
+	set("target", target)
+	if annotate {
+		q.Set("annotate", "true")
+	}
+	return q
+}
+
 // PublishParams are the generation options of a remote publish; they
 // map onto the /v1/generate query parameters.
 type PublishParams struct {
@@ -532,119 +538,37 @@ type PublishParams struct {
 }
 
 func (p PublishParams) query() url.Values {
-	q := url.Values{}
-	q.Set("library", p.Library)
-	if p.Root != "" {
-		q.Set("root", p.Root)
-	}
-	if p.Style != "" {
-		q.Set("style", p.Style)
-	}
-	if p.Annotate {
-		q.Set("annotate", "true")
-	}
+	q := generateQuery(p.Library, p.Root, p.Style, "", p.Annotate)
 	if p.Policy != "" {
 		q.Set("policy", p.Policy)
 	}
 	return q
 }
 
-// PublishResult is the 201 answer to a publish.
-type PublishResult struct {
-	Subject string       `json:"subject"`
-	Version repo.Version `json:"version"`
-}
-
 // Publish sends xmi as the next version of subject. A policy rejection
 // surfaces as *IncompatibleError (permanent, never retried).
-func (c *Client) Publish(ctx context.Context, subject string, xmi []byte, params PublishParams) (*PublishResult, error) {
+func (c *Client) Publish(ctx context.Context, subject string, xmi []byte, params PublishParams) (*api.Version, error) {
 	data, err := c.doSubject(ctx, subject, http.MethodPost, "/v1/repo/subjects/"+url.PathEscape(subject)+"/versions", params.query(), xmi)
-	if err != nil {
-		var ae *APIError
-		if errors.As(err, &ae) && ae.Status == http.StatusConflict {
-			var ie IncompatibleError
-			if json.Unmarshal(ae.Body, &ie) == nil {
-				return nil, &ie
-			}
+	var ae *APIError
+	if errors.As(err, &ae) && ae.Status == http.StatusConflict {
+		var body api.Incompatible
+		if json.Unmarshal(ae.Body, &body) == nil {
+			ie := IncompatibleError(body.Conflict)
+			return nil, &ie
 		}
-		return nil, err
 	}
-	var res PublishResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, fmt.Errorf("decoding publish response: %w", err)
-	}
-	return &res, nil
-}
-
-// CheckResult is the answer to a compatibility dry run.
-type CheckResult struct {
-	Subject    string   `json:"subject"`
-	Policy     string   `json:"policy"`
-	Against    int      `json:"against"`
-	Compatible bool     `json:"compatible"`
-	Changes    []Change `json:"changes"`
+	return decode[*api.Version](data, err)
 }
 
 // Check runs the compatibility gate against subject without storing
 // anything.
-func (c *Client) Check(ctx context.Context, subject string, xmi []byte) (*CheckResult, error) {
-	data, err := c.doSubject(ctx, subject, http.MethodPost, "/v1/repo/subjects/"+url.PathEscape(subject)+"/compat", nil, xmi)
-	if err != nil {
-		return nil, err
-	}
-	var res CheckResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, fmt.Errorf("decoding check response: %w", err)
-	}
-	return &res, nil
-}
-
-// Subject is one entry of the subject listing.
-type Subject struct {
-	Name     string `json:"name"`
-	Policy   string `json:"policy"`
-	Versions int    `json:"versions"`
-	Latest   int    `json:"latest"`
+func (c *Client) Check(ctx context.Context, subject string, xmi []byte) (*api.Compat, error) {
+	return decode[*api.Compat](c.doSubject(ctx, subject, http.MethodPost, "/v1/repo/subjects/"+url.PathEscape(subject)+"/compat", nil, xmi))
 }
 
 // Subjects lists every subject in the remote repository.
-func (c *Client) Subjects(ctx context.Context) ([]Subject, error) {
-	data, err := c.do(ctx, http.MethodGet, "/v1/repo/subjects", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	var subs []Subject
-	if err := json.Unmarshal(data, &subs); err != nil {
-		return nil, fmt.Errorf("decoding subject listing: %w", err)
-	}
-	return subs, nil
-}
-
-// AggregateShard identifies one shard the aggregate listing could not
-// reach.
-type AggregateShard struct {
-	ID    string `json:"id"`
-	Addr  string `json:"addr"`
-	Error string `json:"error"`
-}
-
-// AggregateSubject is one row of the cluster-wide subject listing; on
-// a sharded cluster Shard names the owning shard.
-type AggregateSubject struct {
-	Name     string `json:"name"`
-	Policy   string `json:"policy"`
-	Versions int    `json:"versions"`
-	Latest   int    `json:"latest"`
-	Shard    string `json:"shard,omitempty"`
-}
-
-// AggregateSubjects is the partial-failure envelope of GET /v1/repo:
-// the merged cluster-wide listing plus which owners answered.
-type AggregateSubjects struct {
-	Subjects    []AggregateSubject `json:"subjects"`
-	Shards      int                `json:"shards"`
-	Reached     int                `json:"reached"`
-	Unreachable []AggregateShard   `json:"unreachable,omitempty"`
+func (c *Client) Subjects(ctx context.Context) ([]repo.SubjectInfo, error) {
+	return decode[[]repo.SubjectInfo](c.do(ctx, http.MethodGet, "/v1/repo/subjects", nil, nil))
 }
 
 // ListAll fetches the cluster-wide aggregate subject listing. Any node
@@ -652,36 +576,13 @@ type AggregateSubjects struct {
 // answers with its local subjects in the same envelope. Servers from
 // before the aggregate endpoint answer 404 — callers can fall back to
 // Subjects.
-func (c *Client) ListAll(ctx context.Context) (*AggregateSubjects, error) {
-	data, err := c.do(ctx, http.MethodGet, "/v1/repo", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	var agg AggregateSubjects
-	if err := json.Unmarshal(data, &agg); err != nil {
-		return nil, fmt.Errorf("decoding aggregate listing: %w", err)
-	}
-	return &agg, nil
-}
-
-// VersionList is the version listing of one subject.
-type VersionList struct {
-	Subject  string         `json:"subject"`
-	Policy   string         `json:"policy"`
-	Versions []repo.Version `json:"versions"`
+func (c *Client) ListAll(ctx context.Context) (*api.Aggregate, error) {
+	return decode[*api.Aggregate](c.do(ctx, http.MethodGet, "/v1/repo", nil, nil))
 }
 
 // Versions lists the versions of subject.
-func (c *Client) Versions(ctx context.Context, subject string) (*VersionList, error) {
-	data, err := c.doSubject(ctx, subject, http.MethodGet, "/v1/repo/subjects/"+url.PathEscape(subject)+"/versions", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	var vl VersionList
-	if err := json.Unmarshal(data, &vl); err != nil {
-		return nil, fmt.Errorf("decoding version listing: %w", err)
-	}
-	return &vl, nil
+func (c *Client) Versions(ctx context.Context, subject string) (*api.VersionList, error) {
+	return decode[*api.VersionList](c.doSubject(ctx, subject, http.MethodGet, "/v1/repo/subjects/"+url.PathEscape(subject)+"/versions", nil, nil))
 }
 
 // versionPath renders the {number} path segment ("latest" for 0).
@@ -696,17 +597,11 @@ func versionPath(subject string, number int) string {
 // Version fetches one version's metadata.
 func (c *Client) Version(ctx context.Context, subject string, number int) (*repo.Version, error) {
 	q := url.Values{"format": []string{"json"}}
-	data, err := c.doSubject(ctx, subject, http.MethodGet, versionPath(subject, number), q, nil)
+	v, err := decode[*api.Version](c.doSubject(ctx, subject, http.MethodGet, versionPath(subject, number), q, nil))
 	if err != nil {
 		return nil, err
 	}
-	var res struct {
-		Version repo.Version `json:"version"`
-	}
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, fmt.Errorf("decoding version metadata: %w", err)
-	}
-	return &res.Version, nil
+	return &v.Version, nil
 }
 
 // File fetches one named schema file of a stored version.

@@ -10,8 +10,8 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"time"
 
+	"github.com/go-ccts/ccts/internal/api"
 	"github.com/go-ccts/ccts/internal/jobs"
 	"github.com/go-ccts/ccts/internal/retry"
 )
@@ -29,30 +29,6 @@ import (
 // immediately instead of burning the reconnect budget.
 var ErrJobExpired = errors.New("client: job expired on the server")
 
-// Job is the wire form of a job status document.
-type Job struct {
-	ID          string     `json:"id"`
-	Name        string     `json:"name,omitempty"`
-	Priority    int        `json:"priority,omitempty"`
-	State       jobs.State `json:"state"`
-	SubmittedAt time.Time  `json:"submittedAt"`
-	DoneAt      *time.Time `json:"doneAt,omitempty"`
-	Done        int        `json:"done"`
-	Failed      int        `json:"failed"`
-	Total       int        `json:"total"`
-	Items       []JobItem  `json:"items,omitempty"`
-}
-
-// JobItem is one item's state inside a job document.
-type JobItem struct {
-	Name    string `json:"name"`
-	Library string `json:"library"`
-	Target  string `json:"target,omitempty"`
-	Status  string `json:"status"`
-	Error   string `json:"error,omitempty"`
-	Nanos   int64  `json:"ns,omitempty"`
-}
-
 // JobParams are the submission options of a single-model job; they map
 // onto the POST /v1/jobs query parameters.
 type JobParams struct {
@@ -66,61 +42,40 @@ type JobParams struct {
 }
 
 func (p JobParams) query() url.Values {
-	q := url.Values{}
+	q := generateQuery(p.Library, p.Root, p.Style, p.Target, p.Annotate)
 	if p.Name != "" {
 		q.Set("name", p.Name)
 	}
 	if p.Priority != 0 {
 		q.Set("priority", strconv.Itoa(p.Priority))
 	}
-	q.Set("library", p.Library)
-	if p.Root != "" {
-		q.Set("root", p.Root)
-	}
-	if p.Style != "" {
-		q.Set("style", p.Style)
-	}
-	if p.Annotate {
-		q.Set("annotate", "true")
-	}
-	if p.Target != "" {
-		q.Set("target", p.Target)
-	}
 	return q
 }
 
 // SubmitJobModel submits one raw XMI model as an asynchronous job.
-func (c *Client) SubmitJobModel(ctx context.Context, xmi []byte, params JobParams) (*Job, error) {
-	return c.decodeJob(c.do(ctx, http.MethodPost, "/v1/jobs", params.query(), xmi))
+func (c *Client) SubmitJobModel(ctx context.Context, xmi []byte, params JobParams) (*api.Job, error) {
+	return decode[*api.Job](c.do(ctx, http.MethodPost, "/v1/jobs", params.query(), xmi))
 }
 
 // SubmitJobZip submits a zip batch (job.json manifest plus model
 // files) as an asynchronous job.
-func (c *Client) SubmitJobZip(ctx context.Context, batch []byte) (*Job, error) {
-	return c.decodeJob(c.do(ctx, http.MethodPost, "/v1/jobs", nil, batch))
+func (c *Client) SubmitJobZip(ctx context.Context, batch []byte) (*api.Job, error) {
+	return decode[*api.Job](c.do(ctx, http.MethodPost, "/v1/jobs", nil, batch))
 }
 
 // Job fetches one job's status document.
-func (c *Client) Job(ctx context.Context, id string) (*Job, error) {
-	return c.decodeJob(c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil, nil))
+func (c *Client) Job(ctx context.Context, id string) (*api.Job, error) {
+	return decode[*api.Job](c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil, nil))
 }
 
 // Jobs lists every live job on the server.
-func (c *Client) Jobs(ctx context.Context) ([]Job, error) {
-	data, err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	var list []Job
-	if err := json.Unmarshal(data, &list); err != nil {
-		return nil, fmt.Errorf("decoding job listing: %w", err)
-	}
-	return list, nil
+func (c *Client) Jobs(ctx context.Context) ([]api.Job, error) {
+	return decode[[]api.Job](c.do(ctx, http.MethodGet, "/v1/jobs", nil, nil))
 }
 
 // CancelJob cancels a job; already-settled items keep their results.
-func (c *Client) CancelJob(ctx context.Context, id string) (*Job, error) {
-	return c.decodeJob(c.do(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, nil))
+func (c *Client) CancelJob(ctx context.Context, id string) (*api.Job, error) {
+	return decode[*api.Job](c.do(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, nil))
 }
 
 // JobResult fetches the result archive of a completed job: the item's
@@ -136,17 +91,6 @@ func (c *Client) JobResult(ctx context.Context, id string) ([]byte, error) {
 func (c *Client) JobResultItem(ctx context.Context, id string, item int) ([]byte, error) {
 	q := url.Values{"item": []string{strconv.Itoa(item)}}
 	return c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/result", q, nil)
-}
-
-func (c *Client) decodeJob(data []byte, err error) (*Job, error) {
-	if err != nil {
-		return nil, err
-	}
-	var j Job
-	if err := json.Unmarshal(data, &j); err != nil {
-		return nil, fmt.Errorf("decoding job document: %w", err)
-	}
-	return &j, nil
 }
 
 // WatchJob streams a job's progress events, calling fn for each one in
@@ -235,15 +179,7 @@ func (c *Client) streamEvents(ctx context.Context, id string, after int64, fn fu
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		ae := &APIError{Status: resp.StatusCode, Body: data}
-		var envelope struct {
-			Error string `json:"error"`
-			Code  string `json:"code"`
-		}
-		if json.Unmarshal(data, &envelope) == nil {
-			ae.Code = envelope.Code
-			ae.Message = envelope.Error
-		}
+		ae := decodeError(resp, data)
 		if ae.Status == http.StatusGone && ae.Code == "expired" {
 			return 0, retry.Permanent(fmt.Errorf("%w: %v", ErrJobExpired, ae))
 		}

@@ -35,20 +35,20 @@ const (
 // Change is one reported difference.
 type Change struct {
 	// Kind is Added, Removed or Modified.
-	Kind string
+	Kind string `json:"kind"`
 	// Element is "ElementKind Library::Name" ("ABIE CommonAggregates::Address").
-	Element string
+	Element string `json:"element"`
 	// Details lists member-level modifications, empty for Added/Removed.
-	Details []string
+	Details []string `json:"details,omitempty"`
 	// Breaking reports whether the change can invalidate instances or
 	// consumers of the previously generated schemas: Removed changes
 	// always are; Added changes never are; Modified changes are breaking
 	// when any member-level detail is (removal, retyping, tightened
 	// cardinality, removed literal).
-	Breaking bool
+	Breaking bool `json:"breaking"`
 	// BreakingDetails is the subset of Details classified as breaking,
 	// in Details order; empty when Breaking is false.
-	BreakingDetails []string
+	BreakingDetails []string `json:"breakingDetails,omitempty"`
 }
 
 // String renders the change for reports.

@@ -937,12 +937,12 @@ func (r *Repo) Blob(sha string) ([]byte, error) {
 
 // SubjectInfo summarizes one subject for listings.
 type SubjectInfo struct {
-	Name   string
-	Policy Policy
+	Name   string `json:"name"`
+	Policy Policy `json:"policy"`
 	// Versions counts live versions; Latest is the newest live number
 	// (0 when all are tombstoned).
-	Versions int
-	Latest   int
+	Versions int `json:"versions"`
+	Latest   int `json:"latest"`
 }
 
 // Subjects lists every subject, sorted by name.

@@ -12,8 +12,8 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"time"
 
+	"github.com/go-ccts/ccts/internal/api"
 	"github.com/go-ccts/ccts/internal/jobs"
 	"github.com/go-ccts/ccts/internal/schemacache"
 )
@@ -88,32 +88,9 @@ type jobManifest struct {
 // submission.
 const jobManifestName = "job.json"
 
-// jsonJobItem is the wire form of one item's state.
-type jsonJobItem struct {
-	Name    string `json:"name"`
-	Library string `json:"library"`
-	Target  string `json:"target,omitempty"`
-	Status  string `json:"status"`
-	Error   string `json:"error,omitempty"`
-	Nanos   int64  `json:"ns,omitempty"`
-}
-
-// jsonJob is the wire form of a job document.
-type jsonJob struct {
-	ID          string        `json:"id"`
-	Name        string        `json:"name,omitempty"`
-	Priority    int           `json:"priority,omitempty"`
-	State       jobs.State    `json:"state"`
-	SubmittedAt time.Time     `json:"submittedAt"`
-	DoneAt      *time.Time    `json:"doneAt,omitempty"`
-	Done        int           `json:"done"`
-	Failed      int           `json:"failed"`
-	Total       int           `json:"total"`
-	Items       []jsonJobItem `json:"items,omitempty"`
-}
-
-func toJSONJob(s *jobs.Snapshot, withItems bool) jsonJob {
-	j := jsonJob{
+// jobDoc renders a job snapshot as its status document.
+func jobDoc(s *jobs.Snapshot, withItems bool) api.Job {
+	j := api.Job{
 		ID:          s.ID,
 		Name:        s.Spec.Name,
 		Priority:    s.Spec.Priority,
@@ -128,9 +105,9 @@ func toJSONJob(s *jobs.Snapshot, withItems bool) jsonJob {
 		j.DoneAt = &t
 	}
 	if withItems {
-		j.Items = make([]jsonJobItem, len(s.Items))
+		j.Items = make([]api.JobItem, len(s.Items))
 		for i, it := range s.Items {
-			j.Items[i] = jsonJobItem{
+			j.Items[i] = api.JobItem{
 				Name:    it.Spec.Name,
 				Library: it.Spec.Library,
 				Target:  it.Spec.Target,
@@ -306,7 +283,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Location", "/v1/jobs/"+snap.ID)
 	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(toJSONJob(snap, true))
+	json.NewEncoder(w).Encode(jobDoc(snap, true))
 }
 
 // parseJobZip decodes a zip submission: the job.json manifest plus the
@@ -383,9 +360,9 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snaps := s.jobs.List()
-	out := make([]jsonJob, len(snaps))
+	out := make([]api.Job, len(snaps))
 	for i, snap := range snaps {
-		out[i] = toJSONJob(snap, false)
+		out[i] = jobDoc(snap, false)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
@@ -402,7 +379,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(toJSONJob(snap, true))
+	json.NewEncoder(w).Encode(jobDoc(snap, true))
 }
 
 // handleJobCancel is DELETE /v1/jobs/{id}.
@@ -416,7 +393,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(toJSONJob(snap, true))
+	json.NewEncoder(w).Encode(jobDoc(snap, true))
 }
 
 // handleJobEvents is GET /v1/jobs/{id}/events: the job's progress
@@ -528,7 +505,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		writeStored(w, `attachment; filename="schemas.zip"`, results[0].Zip)
 		return
 	}
-	summary, err := json.Marshal(toJSONJob(snap, true))
+	summary, err := json.Marshal(jobDoc(snap, true))
 	if err != nil {
 		s.writeError(w, &apiError{Status: http.StatusInternalServerError, Code: "archive", Message: err.Error()})
 		return

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/go-ccts/ccts/internal/api"
 	"github.com/go-ccts/ccts/internal/backends"
 	"github.com/go-ccts/ccts/internal/jobs"
 	"github.com/go-ccts/ccts/internal/schemacache"
@@ -61,7 +62,7 @@ func buildJobZip(t *testing.T, manifest string, models map[string][]byte) []byte
 }
 
 // postJob submits a body to POST /v1/jobs and decodes the job document.
-func postJob(t *testing.T, h http.Handler, body []byte, query string) (jsonJob, *httptest.ResponseRecorder) {
+func postJob(t *testing.T, h http.Handler, body []byte, query string) (api.Job, *httptest.ResponseRecorder) {
 	t.Helper()
 	url := "/v1/jobs"
 	if query != "" {
@@ -70,7 +71,7 @@ func postJob(t *testing.T, h http.Handler, body []byte, query string) (jsonJob, 
 	req := httptest.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	var doc jsonJob
+	var doc api.Job
 	if rec.Code == http.StatusAccepted {
 		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 			t.Fatalf("decoding job doc: %v", err)
@@ -80,12 +81,12 @@ func postJob(t *testing.T, h http.Handler, body []byte, query string) (jsonJob, 
 }
 
 // getJob fetches GET /v1/jobs/{id}.
-func getJob(t *testing.T, h http.Handler, id string) (jsonJob, int) {
+func getJob(t *testing.T, h http.Handler, id string) (api.Job, int) {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id, nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	var doc jsonJob
+	var doc api.Job
 	if rec.Code == http.StatusOK {
 		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 			t.Fatalf("decoding job doc: %v", err)
@@ -96,7 +97,7 @@ func getJob(t *testing.T, h http.Handler, id string) (jsonJob, int) {
 
 // waitJobState polls the HTTP status document until the job reaches
 // want or settles elsewhere.
-func waitJobState(t *testing.T, h http.Handler, id string, want jobs.State) jsonJob {
+func waitJobState(t *testing.T, h http.Handler, id string, want jobs.State) api.Job {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -113,7 +114,7 @@ func waitJobState(t *testing.T, h http.Handler, id string, want jobs.State) json
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s never reached %s", id, want)
-	return jsonJob{}
+	return api.Job{}
 }
 
 // TestJobsSingleModelByteIdenticalToSync submits one raw model per
@@ -415,7 +416,7 @@ func TestJobsSSEMonotonicPerLibraryProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc jsonJob
+	var doc api.Job
 	if err := json.NewDecoder(res.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +532,7 @@ func TestJobsSSEEndsOnDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc jsonJob
+	var doc api.Job
 	json.NewDecoder(res.Body).Decode(&doc)
 	res.Body.Close()
 
@@ -673,7 +674,7 @@ func TestJobsNoGoroutineLeaks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var doc jsonJob
+		var doc api.Job
 		json.NewDecoder(res.Body).Decode(&doc)
 		res.Body.Close()
 		stream, err := http.Get(ts.URL + "/v1/jobs/" + doc.ID + "/events")

@@ -24,30 +24,11 @@ import (
 	"strconv"
 
 	ccts "github.com/go-ccts/ccts"
+	"github.com/go-ccts/ccts/internal/api"
 	"github.com/go-ccts/ccts/internal/diff"
 	"github.com/go-ccts/ccts/internal/repo"
 	"github.com/go-ccts/ccts/internal/schemacache"
 )
-
-// jsonChange is the wire form of a diff.Change.
-type jsonChange struct {
-	Kind            string   `json:"kind"`
-	Element         string   `json:"element"`
-	Details         []string `json:"details,omitempty"`
-	Breaking        bool     `json:"breaking"`
-	BreakingDetails []string `json:"breakingDetails,omitempty"`
-}
-
-func toJSONChanges(cs []diff.Change) []jsonChange {
-	out := make([]jsonChange, 0, len(cs))
-	for _, c := range cs {
-		out = append(out, jsonChange{
-			Kind: c.Kind, Element: c.Element, Details: c.Details,
-			Breaking: c.Breaking, BreakingDetails: c.BreakingDetails,
-		})
-	}
-	return out
-}
 
 // writeRepoError renders repository failures: 409 with the change list
 // for a policy rejection, 410 for tombstones, 404 for unknown names,
@@ -59,17 +40,9 @@ func (s *Server) writeRepoError(w http.ResponseWriter, err error) {
 		s.errors4xx.Inc()
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusConflict)
-		json.NewEncoder(w).Encode(struct {
-			Error   string       `json:"error"`
-			Code    string       `json:"code"`
-			Subject string       `json:"subject"`
-			Against int          `json:"against"`
-			Policy  repo.Policy  `json:"policy"`
-			Changes []jsonChange `json:"changes"`
-		}{
-			Error: ce.Error(), Code: "incompatible", Subject: ce.Subject,
-			Against: ce.Against, Policy: ce.Policy,
-			Changes: toJSONChanges(ce.Report.Breaking()),
+		json.NewEncoder(w).Encode(api.Incompatible{
+			Error:    api.Error{Message: ce.Error(), Code: "incompatible"},
+			Conflict: api.Conflict{Subject: ce.Subject, Against: ce.Against, Policy: ce.Policy, Changes: ce.Report.Breaking()},
 		})
 	case errors.Is(err, repo.ErrDeleted):
 		s.writeError(w, &apiError{Status: http.StatusGone, Code: "deleted", Message: err.Error()})
@@ -94,19 +67,8 @@ func (s *Server) handleRepoSubjects(w http.ResponseWriter, r *http.Request) {
 	if !s.repoConfigured(w) {
 		return
 	}
-	type jsonSubject struct {
-		Name     string      `json:"name"`
-		Policy   repo.Policy `json:"policy"`
-		Versions int         `json:"versions"`
-		Latest   int         `json:"latest"`
-	}
-	subs := s.repo.Subjects()
-	out := make([]jsonSubject, 0, len(subs))
-	for _, sub := range subs {
-		out = append(out, jsonSubject{Name: sub.Name, Policy: sub.Policy, Versions: sub.Versions, Latest: sub.Latest})
-	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
+	json.NewEncoder(w).Encode(s.repo.Subjects())
 }
 
 // handleRepoPublish is POST /v1/repo/subjects/{subject}/versions: the
@@ -188,10 +150,7 @@ func (s *Server) handleRepoPublish(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Ccserved-Cache", outcome.String())
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusCreated)
-	json.NewEncoder(w).Encode(struct {
-		Subject string       `json:"subject"`
-		Version repo.Version `json:"version"`
-	}{Subject: subject, Version: *v})
+	json.NewEncoder(w).Encode(api.Version{Subject: subject, Version: *v})
 }
 
 // handleRepoVersions is GET /v1/repo/subjects/{subject}/versions.
@@ -210,11 +169,7 @@ func (s *Server) handleRepoVersions(w http.ResponseWriter, r *http.Request) {
 	}
 	policy, _ := s.repo.Policy(subject)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
-		Subject  string         `json:"subject"`
-		Policy   repo.Policy    `json:"policy"`
-		Versions []repo.Version `json:"versions"`
-	}{Subject: subject, Policy: policy, Versions: vs})
+	json.NewEncoder(w).Encode(api.VersionList{Subject: subject, Policy: policy, Versions: vs})
 }
 
 // parseVersionNumber accepts a positive integer or "latest" (0).
@@ -264,10 +219,7 @@ func (s *Server) handleRepoVersion(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(struct {
-			Subject string       `json:"subject"`
-			Version repo.Version `json:"version"`
-		}{Subject: subject, Version: v})
+		json.NewEncoder(w).Encode(api.Version{Subject: subject, Version: v})
 		return
 	}
 
@@ -323,10 +275,7 @@ func (s *Server) handleRepoDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
-		Subject string `json:"subject"`
-		Deleted int    `json:"deleted"`
-	}{Subject: subject, Deleted: number})
+	json.NewEncoder(w).Encode(api.Deleted{Subject: subject, Deleted: number})
 }
 
 // handleRepoCompat is GET|POST /v1/repo/subjects/{subject}/compat: the
@@ -346,9 +295,10 @@ func (s *Server) handleRepoCompat(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, aerr)
 		return
 	}
-	// The dry run imports the revision, and the previous version's input
-	// unless the repository has its model memoised; take an admission
-	// slot like any other compute-bound request.
+	// The dry run imports and checks the revision, and imports the
+	// previous version's input unless the repository has its model
+	// memoised; take an admission slot like any other compute-bound
+	// request.
 	ctx, cancel, aerr := s.requestContext(r)
 	if aerr != nil {
 		s.writeError(w, aerr)
@@ -361,21 +311,21 @@ func (s *Server) handleRepoCompat(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 
-	res, err := s.repo.Check(subject, body, nil)
+	model, _, _, err := s.checkModel(ctx, body)
+	if err != nil {
+		s.writeError(w, mapError(err))
+		return
+	}
+	res, err := s.repo.Check(subject, body, model)
 	if err != nil {
 		s.writeRepoError(w, err)
 		return
 	}
-	var changes []jsonChange
+	out := api.Compat{Subject: res.Subject, Policy: res.Policy, Against: res.Against, Compatible: res.Compatible}
 	if res.Report != nil {
-		changes = toJSONChanges(res.Report.Changes)
+		// Against a published version the list is [], never null.
+		out.Changes = append([]diff.Change{}, res.Report.Changes...)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
-		Subject    string       `json:"subject"`
-		Policy     repo.Policy  `json:"policy"`
-		Against    int          `json:"against"`
-		Compatible bool         `json:"compatible"`
-		Changes    []jsonChange `json:"changes"`
-	}{Subject: res.Subject, Policy: res.Policy, Against: res.Against, Compatible: res.Compatible, Changes: changes})
+	json.NewEncoder(w).Encode(out)
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/go-ccts/ccts/internal/fixture"
 	"github.com/go-ccts/ccts/internal/profile"
 	"github.com/go-ccts/ccts/internal/repo"
+	"github.com/go-ccts/ccts/internal/validate"
 )
 
 // newRepoServer builds a server backed by a fresh repository.
@@ -70,15 +71,19 @@ func strayEnumXMI(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// TestModelCheckRunsOnImportedModel: generate, publish and validate all
-// check the profile's constraints on the model the client sent, so the
-// dropped enumeration is refused everywhere with CCL-3.
+// TestModelCheckRunsOnImportedModel: generate, publish, the compat dry
+// run and validate all check the profile's constraints on the model the
+// client sent, so the dropped enumeration is refused everywhere with
+// CCL-3.
 func TestModelCheckRunsOnImportedModel(t *testing.T) {
 	h := newRepoServer(t, repo.Config{}).Handler()
 	body := strayEnumXMI(t)
+	if rec := repoRequest(t, h, http.MethodPost, "/v1/repo/subjects/published/versions?"+docQuery, sampleXMI(t)); rec.Code != http.StatusCreated {
+		t.Fatalf("publish = %d: %s", rec.Code, rec.Body.String())
+	}
 	var out struct {
-		Valid    bool          `json:"valid"`
-		Findings []jsonFinding `json:"findings"`
+		Valid    bool               `json:"valid"`
+		Findings []validate.Finding `json:"findings"`
 	}
 	namesCCL3 := func(what string, rec *httptest.ResponseRecorder) {
 		t.Helper()
@@ -94,8 +99,10 @@ func TestModelCheckRunsOnImportedModel(t *testing.T) {
 		t.Errorf("%s: findings %v lack CCL-3", what, out.Findings)
 	}
 	for what, rec := range map[string]*httptest.ResponseRecorder{
-		"generate": postGenerate(t, h, body, docQuery),
-		"publish":  repoRequest(t, h, http.MethodPost, publishPath(""), body),
+		"generate":                      postGenerate(t, h, body, docQuery),
+		"publish":                       repoRequest(t, h, http.MethodPost, publishPath(""), body),
+		"compat on a new subject":       repoRequest(t, h, http.MethodPost, "/v1/repo/subjects/"+repoSubject+"/compat", body),
+		"compat on a published subject": repoRequest(t, h, http.MethodPost, "/v1/repo/subjects/published/compat", body),
 	} {
 		if rec.Code != http.StatusUnprocessableEntity {
 			t.Errorf("%s = %d, want 422; body %s", what, rec.Code, rec.Body.String())

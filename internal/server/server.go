@@ -36,6 +36,7 @@ import (
 	"time"
 
 	ccts "github.com/go-ccts/ccts"
+	"github.com/go-ccts/ccts/internal/api"
 	"github.com/go-ccts/ccts/internal/backends"
 	"github.com/go-ccts/ccts/internal/gen"
 	"github.com/go-ccts/ccts/internal/health"
@@ -438,9 +439,8 @@ var errSaturated = errors.New("server: admission semaphore saturated")
 // 503 with Retry-After.
 var errShed = errors.New("server: request shed after queueing for admission")
 
-// apiError is the structured error envelope every failure path answers
-// with: {"error": ..., "code": ..., "findings": [...]} plus the HTTP
-// status.
+// apiError is a failure as every failure path answers it: the
+// api.Error envelope plus the HTTP status and headers.
 type apiError struct {
 	Status  int
 	Code    string
@@ -463,31 +463,6 @@ type apiError struct {
 
 func (e *apiError) Error() string { return e.Message }
 
-// jsonFinding is the wire form of a validate.Finding.
-type jsonFinding struct {
-	Rule     string `json:"rule"`
-	Severity string `json:"severity"`
-	Element  string `json:"element,omitempty"`
-	Message  string `json:"message"`
-	Line     int    `json:"line,omitempty"`
-	Col      int    `json:"col,omitempty"`
-}
-
-func toJSONFindings(fs []validate.Finding) []jsonFinding {
-	out := make([]jsonFinding, 0, len(fs))
-	for _, f := range fs {
-		out = append(out, jsonFinding{
-			Rule:     f.Rule,
-			Severity: f.Severity.String(),
-			Element:  f.Element,
-			Message:  f.Message,
-			Line:     f.Line,
-			Col:      f.Col,
-		})
-	}
-	return out
-}
-
 // writeError renders an apiError and updates the error counters.
 func (s *Server) writeError(w http.ResponseWriter, e *apiError) {
 	if e.Status >= 500 {
@@ -495,16 +470,9 @@ func (s *Server) writeError(w http.ResponseWriter, e *apiError) {
 	} else if e.Status >= 400 {
 		s.errors4xx.Inc()
 	}
-	body := struct {
-		Error    string        `json:"error"`
-		Code     string        `json:"code"`
-		Primary  string        `json:"primary,omitempty"`
-		Owner    string        `json:"owner,omitempty"`
-		Epoch    int64         `json:"epoch,omitempty"`
-		Findings []jsonFinding `json:"findings,omitempty"`
-	}{Error: e.Message, Code: e.Code, Primary: e.Primary, Owner: e.Owner, Epoch: e.Epoch}
+	body := api.Error{Message: e.Message, Code: e.Code, Primary: e.Primary, Owner: e.Owner, Epoch: e.Epoch}
 	if e.Report != nil {
-		body.Findings = toJSONFindings(e.Report.Findings)
+		body.Findings = e.Report.Findings
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if e.Primary != "" {

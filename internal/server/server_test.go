@@ -24,6 +24,7 @@ import (
 	"github.com/go-ccts/ccts/internal/fixture"
 	"github.com/go-ccts/ccts/internal/limits"
 	"github.com/go-ccts/ccts/internal/registry"
+	"github.com/go-ccts/ccts/internal/validate"
 )
 
 func init() {
@@ -442,8 +443,8 @@ func TestGenerateValidationErrors422(t *testing.T) {
 		t.Fatalf("status = %d, want 422; body %s", rec.Code, rec.Body.String())
 	}
 	var errBody struct {
-		Code     string        `json:"code"`
-		Findings []jsonFinding `json:"findings"`
+		Code     string             `json:"code"`
+		Findings []validate.Finding `json:"findings"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &errBody); err != nil {
 		t.Fatal(err)
@@ -453,7 +454,7 @@ func TestGenerateValidationErrors422(t *testing.T) {
 	}
 	found := false
 	for _, f := range errBody.Findings {
-		if f.Rule == "SEM-NS-1" && f.Severity == "error" {
+		if f.Rule == "SEM-NS-1" && f.Severity == validate.Error {
 			found = true
 		}
 	}
@@ -679,8 +680,8 @@ func TestValidateEndpoint(t *testing.T) {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
 	var out struct {
-		Valid    bool          `json:"valid"`
-		Findings []jsonFinding `json:"findings"`
+		Valid    bool               `json:"valid"`
+		Findings []validate.Finding `json:"findings"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)

@@ -35,6 +35,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/go-ccts/ccts/internal/api"
 	"github.com/go-ccts/ccts/internal/repo"
 	"github.com/go-ccts/ccts/internal/shard"
 )
@@ -222,10 +223,7 @@ func (s *Server) handleShardPull(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, aerr)
 		return
 	}
-	var req struct {
-		Subject string `json:"subject"`
-		From    string `json:"from"`
-	}
+	var req api.ShardPull
 	if err := json.Unmarshal(body, &req); err != nil || req.Subject == "" || req.From == "" {
 		s.writeError(w, &apiError{Status: http.StatusBadRequest, Code: "params", Message: "body must be {\"subject\": ..., \"from\": <peer base URL>}"})
 		return
@@ -365,9 +363,7 @@ func (s *Server) shardSubjects(ctx context.Context, cur *shard.Map) ([]string, e
 			}
 			continue
 		}
-		var listing []struct {
-			Name string `json:"name"`
-		}
+		var listing []repo.SubjectInfo
 		if err := shard.GetJSON(ctx, shardHTTPClient, addr+"/v1/repo/subjects", &listing); err != nil {
 			return nil, fmt.Errorf("listing subjects of %s: %w", addr, err)
 		}
@@ -415,10 +411,7 @@ func (s *Server) driveShardPull(ctx context.Context, mg shard.Migration) error {
 		s.shard.CountMigration()
 		return nil
 	}
-	body, _ := json.Marshal(struct {
-		Subject string `json:"subject"`
-		From    string `json:"from"`
-	}{Subject: mg.Subject, From: mg.FromAddr})
+	body, _ := json.Marshal(api.ShardPull{Subject: mg.Subject, From: mg.FromAddr})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, mg.ToAddr+"/v1/shard/pull", bytes.NewReader(body))
 	if err != nil {
 		return err
@@ -472,22 +465,6 @@ func (s *Server) handleShardHeal(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(rep)
 }
 
-// aggregateSubject is one row of the cluster-wide subject listing.
-type aggregateSubject struct {
-	Name     string      `json:"name"`
-	Policy   repo.Policy `json:"policy"`
-	Versions int         `json:"versions"`
-	Latest   int         `json:"latest"`
-	Shard    string      `json:"shard,omitempty"`
-}
-
-// unreachableShard reports one owner the aggregate could not reach.
-type unreachableShard struct {
-	ID    string `json:"id"`
-	Addr  string `json:"addr"`
-	Error string `json:"error"`
-}
-
 // shardListTimeout bounds one peer's subject listing in the aggregate
 // fan-out.
 const shardListTimeout = 10 * time.Second
@@ -506,20 +483,15 @@ func (s *Server) handleRepoAggregate(w http.ResponseWriter, r *http.Request) {
 	if !s.repoConfigured(w) {
 		return
 	}
-	local := func(id string) []aggregateSubject {
+	local := func(id string) []api.AggregateSubject {
 		subs := s.repo.Subjects()
-		out := make([]aggregateSubject, 0, len(subs))
+		out := make([]api.AggregateSubject, 0, len(subs))
 		for _, sub := range subs {
-			out = append(out, aggregateSubject{Name: sub.Name, Policy: sub.Policy, Versions: sub.Versions, Latest: sub.Latest, Shard: id})
+			out = append(out, api.AggregateSubject{SubjectInfo: sub, Shard: id})
 		}
 		return out
 	}
-	envelope := struct {
-		Subjects    []aggregateSubject `json:"subjects"`
-		Shards      int                `json:"shards"`
-		Reached     int                `json:"reached"`
-		Unreachable []unreachableShard `json:"unreachable,omitempty"`
-	}{Subjects: []aggregateSubject{}}
+	envelope := api.Aggregate{Subjects: []api.AggregateSubject{}}
 
 	if s.shard == nil {
 		envelope.Subjects = local("")
@@ -548,7 +520,7 @@ func (s *Server) handleRepoAggregate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	type answer struct {
-		rows []aggregateSubject
+		rows []api.AggregateSubject
 		err  error
 	}
 	answers := make([]answer, len(eps))
@@ -566,7 +538,7 @@ func (s *Server) handleRepoAggregate(w http.ResponseWriter, r *http.Request) {
 			}
 			ctx, cancel := context.WithTimeout(r.Context(), shardListTimeout)
 			defer cancel()
-			var listing []aggregateSubject
+			var listing []api.AggregateSubject
 			if err := shard.GetJSON(ctx, shardHTTPClient, strings.TrimRight(ep.addr, "/")+"/v1/repo/subjects", &listing); err != nil {
 				answers[i] = answer{err: err}
 				return
@@ -582,7 +554,7 @@ func (s *Server) handleRepoAggregate(w http.ResponseWriter, r *http.Request) {
 	// Merge: a subject's row counts only when its reporting node is the
 	// route-authoritative owner, so bytes left behind by a finished
 	// migration (sources keep their history) never show up twice.
-	byName := map[string]aggregateSubject{}
+	byName := map[string]api.AggregateSubject{}
 	for _, a := range answers {
 		for _, row := range a.rows {
 			if m.Route(row.Name).Owner.ID != row.Shard {
@@ -598,7 +570,7 @@ func (s *Server) handleRepoAggregate(w http.ResponseWriter, r *http.Request) {
 	envelope.Shards = len(eps)
 	for i, a := range answers {
 		if a.err != nil {
-			envelope.Unreachable = append(envelope.Unreachable, unreachableShard{ID: eps[i].id, Addr: eps[i].addr, Error: a.err.Error()})
+			envelope.Unreachable = append(envelope.Unreachable, api.UnreachableShard{ID: eps[i].id, Addr: eps[i].addr, Error: a.err.Error()})
 		} else {
 			envelope.Reached++
 		}

@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"strings"
 
+	"github.com/go-ccts/ccts/internal/api"
 	"github.com/go-ccts/ccts/internal/repo"
 )
 
@@ -30,16 +31,12 @@ func Pull(ctx context.Context, hc *http.Client, dst *repo.Repo, fromAddr, subjec
 	}
 	base := strings.TrimRight(fromAddr, "/")
 
-	var listing struct {
-		Subject  string         `json:"subject"`
-		Policy   string         `json:"policy"`
-		Versions []repo.Version `json:"versions"`
-	}
+	var listing api.VersionList
 	u := base + "/v1/repo/subjects/" + url.PathEscape(subject) + "/versions"
 	if err := GetJSON(ctx, hc, u, &listing); err != nil {
 		return 0, fmt.Errorf("shard: pulling %s from %s: %w", subject, fromAddr, err)
 	}
-	policy, err := repo.ParsePolicy(listing.Policy)
+	policy, err := repo.ParsePolicy(string(listing.Policy))
 	if err != nil {
 		return 0, fmt.Errorf("shard: pulling %s from %s: %w", subject, fromAddr, err)
 	}

@@ -35,21 +35,47 @@ func (s Severity) String() string {
 	return "error"
 }
 
+// severityText holds each severity's wire name, so that encoding a
+// finding allocates nothing for its severity.
+var severityText = [...][]byte{Error: []byte("error"), Warning: []byte("warning")}
+
+// MarshalText writes the severity as String names it. The returned
+// slice is shared; callers must not modify it.
+func (s Severity) MarshalText() ([]byte, error) {
+	if s == Warning {
+		return severityText[Warning], nil
+	}
+	return severityText[Error], nil
+}
+
+// UnmarshalText reads "error" or "warning" and rejects any other name.
+func (s *Severity) UnmarshalText(text []byte) error {
+	switch string(text) {
+	case "error":
+		*s = Error
+	case "warning":
+		*s = Warning
+	default:
+		return fmt.Errorf("validate: unknown severity %q", text)
+	}
+	return nil
+}
+
 // Finding is one validation result.
 type Finding struct {
 	// Rule is the stable rule identifier (semantic rules are prefixed
 	// "SEM-", profile constraint IDs pass through; import diagnostics
 	// use "XMI-").
-	Rule     string
-	Severity Severity
+	Rule     string   `json:"rule"`
+	Severity Severity `json:"severity"`
 	// Element locates the finding.
-	Element string
-	Message string
+	Element string `json:"element,omitempty"`
+	Message string `json:"message"`
 	// Line and Col locate the finding in a source document when the
 	// finding came from an import (1-based; zero when the finding has no
 	// source position, e.g. semantic rules over an in-memory model).
-	Line int
-	Col  int
+	Line int `json:"line,omitempty"`
+	Col  int `json:"col,omitempty"`
 }
 
 // ImportReport turns the diagnostics of a lenient XMI import into
